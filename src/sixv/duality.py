@@ -15,6 +15,13 @@ particles contribute a constant factor to every functional: forward
 particles beyond R = y_1 sit right of every evaluation point, reversed
 particles below L = x_1 see an empty left tail (factor 0 for H, 1 for G
 and D).  Nothing is truncated; every result is an exact rational.
+
+The engine works in scaled integers.  Each cached one-step law is one lcm
+denominator plus integer numerators (:class:`ScaledLaw`); t-step laws
+compose those with integer multiplies and adds, reduced by their gcd after
+every step.  Contraction uses that every functional is 0 or q^(-m) for an
+integer m: numerators are summed per m, and one Fraction is built per
+expectation from q = a/b at the end.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 from sixv.dynamics import (
     Mutation,
+    StepDistribution,
     forward_step_distribution,
     reversed_step_distribution,
     sample_forward_step,
@@ -57,18 +66,13 @@ def _require_kind(kind: str) -> None:
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """Either an exact rational value or a Monte Carlo (mean, stderr, n, seed).
-
-    ``truncation_bound`` bounds the probability mass the engine ignored; the
-    lumped exact engines never ignore any, so it is always 0 there.
-    """
+    """Either an exact rational value or a Monte Carlo (mean, stderr, n, seed)."""
 
     value: Fraction | None = None
     mean: float | None = None
     stderr: float | None = None
     n: int | None = None
     seed: int | None = None
-    truncation_bound: Fraction = Fraction(0)
 
     def to_json_obj(self) -> dict:
         if self.value is not None:
@@ -84,26 +88,30 @@ class ExpectationResult:
 # --- functionals ---------------------------------------------------------------
 
 
+def _exponent_at_points(
+    kind: str, particles: tuple[int, ...], points: tuple[int, ...]
+) -> int | None:
+    """m with H/G/D = q^(-m) at sorted ``particles``, or None where it is 0.
+
+    Every functional is a product of indicators and height weights, so its
+    value is either 0 or q^(-m), m the sum of the heights at the points.
+    """
+    m = 0
+    for site in points:
+        n = bisect_right(particles, site)
+        occupied = n > 0 and particles[n - 1] == site
+        if (kind == "H" and not occupied) or (kind == "D" and occupied):
+            return None
+        m += n
+    return m
+
+
 def _functional_at_points(
     kind: str, particles: tuple[int, ...], points: tuple[int, ...], q: Fraction
 ) -> Fraction:
     """Evaluate H/G/D with g the indicator of sorted particle positions."""
-    value = Fraction(1)
-    for site in points:
-        n = bisect_right(particles, site)
-        occupied = n > 0 and particles[n - 1] == site
-        weight = q ** (-n)
-        if kind == "H":
-            if not occupied:
-                return Fraction(0)
-            value *= weight
-        elif kind == "G":
-            value *= weight
-        else:  # D
-            if occupied:
-                return Fraction(0)
-            value *= weight
-    return value
+    m = _exponent_at_points(kind, particles, points)
+    return Fraction(0) if m is None else q ** (-m)
 
 
 def eval_functional(
@@ -124,7 +132,43 @@ def eval_functional(
     return _functional_at_points(kind, particles, y, q)
 
 
+def _contract(
+    kind: str,
+    terms: Iterable[tuple[tuple[int, ...], tuple[int, ...], int]],
+    den: int,
+    q: Fraction,
+) -> Fraction:
+    """sum of num/den * kind(particles, points) over (particles, points, num).
+
+    Numerators are summed per exponent m, then with q = a/b, so that
+    q^(-m) = b^m / a^m, every m is brought over the one denominator
+    a^top * den, top the largest exponent.
+    """
+    by_exponent: dict[int, int] = {}
+    for particles, points, num in terms:
+        m = _exponent_at_points(kind, particles, points)
+        if m is not None:
+            by_exponent[m] = by_exponent.get(m, 0) + num
+    if not by_exponent:
+        return Fraction(0)
+    a, b = q.numerator, q.denominator
+    top = max(by_exponent)
+    numerator = sum(c * b**m * a ** (top - m) for m, c in by_exponent.items())
+    return Fraction(numerator, den * a**top)
+
+
 # --- exact engines ---------------------------------------------------------------
+
+
+class ScaledLaw(NamedTuple):
+    """A finite law with probability ``num / den`` on each (state, num) entry.
+
+    Under the landing-factor mutation the numerators sum to less than
+    ``den``; otherwise they sum to exactly ``den``.
+    """
+
+    den: int
+    entries: tuple[tuple[State, int], ...]
 
 
 def _fold_forward(x: tuple[int, ...], boundary: int) -> State:
@@ -143,18 +187,30 @@ def _fold_reversed(y: tuple[int, ...], boundary: int) -> State:
     return kept, len(y) - len(kept)
 
 
+def _scaled(law: StepDistribution) -> ScaledLaw:
+    """One step law over its lcm denominator, keyed by (positions, lumped)."""
+    den = math.lcm(*(p.denominator for _, p in law.entries))
+    return ScaledLaw(
+        den,
+        tuple(
+            ((o.positions, o.lumped), p.numerator * (den // p.denominator))
+            for o, p in law.entries
+        ),
+    )
+
+
 @lru_cache(maxsize=None)
 def _forward_entries(
     positions: tuple[int, ...], params: Params, R: int, mutation: Mutation | None
-):
-    return forward_step_distribution(positions, params, R, mutation).entries
+) -> ScaledLaw:
+    return _scaled(forward_step_distribution(positions, params, R, mutation))
 
 
 @lru_cache(maxsize=None)
 def _reversed_entries(
     positions: tuple[int, ...], params: Params, L: int, mutation: Mutation | None
-):
-    return reversed_step_distribution(positions, params, L, mutation).entries
+) -> ScaledLaw:
+    return _scaled(reversed_step_distribution(positions, params, L, mutation))
 
 
 @lru_cache(maxsize=None)
@@ -165,19 +221,28 @@ def _evolve(
     t: int,
     mutation: Mutation | None,
     reverse: bool,
-) -> tuple[tuple[State, Fraction], ...]:
-    """t-step law from a lumped state, as a sorted tuple of (state, prob)."""
+) -> ScaledLaw:
+    """t-step law from a lumped state, in lowest terms."""
     if t == 0:
-        return ((state, Fraction(1)),)
+        return ScaledLaw(1, ((state, 1),))
     step = _reversed_entries if reverse else _forward_entries
-    acc: dict[State, Fraction] = {}
-    for (positions, lumped), prob in _evolve(
-        state, params, boundary, t - 1, mutation, reverse
-    ):
-        for outcome, p in step(positions, params, boundary, mutation):
-            key = (outcome.positions, lumped + outcome.lumped)
-            acc[key] = acc.get(key, Fraction(0)) + prob * p
-    return tuple(sorted(acc.items()))
+    prev = _evolve(state, params, boundary, t - 1, mutation, reverse)
+    laws = [
+        (lumped, num, step(positions, params, boundary, mutation))
+        for (positions, lumped), num in prev.entries
+    ]
+    scale = math.lcm(*(law.den for _, _, law in laws))
+    acc: dict[State, int] = {}
+    for lumped, num, law in laws:
+        weight = num * (scale // law.den)
+        for (positions, more), p in law.entries:
+            key = (positions, lumped + more)
+            acc[key] = acc.get(key, 0) + weight * p
+    den = prev.den * scale
+    g = math.gcd(den, *acc.values())
+    if g > 1:
+        return ScaledLaw(den // g, tuple((key, p // g) for key, p in acc.items()))
+    return ScaledLaw(den, tuple(acc.items()))
 
 
 def _effective_q(params: Params, mutation: Mutation | None) -> Fraction:
@@ -209,14 +274,10 @@ def expect_forward(
     R = y[0] if boundary is None else boundary
     if R < y[0]:
         raise ValueError(f"lump boundary {R} must be at least y_1 = {y[0]}")
-    q = _effective_q(params, mutation)
-    total = Fraction(0)
-    for (positions, _lumped), prob in _evolve(
-        _fold_forward(x, R), params, R, t, mutation, reverse=False
-    ):
-        # particles beyond R sit right of every y_i: factor 1 in all kinds
-        total += prob * _functional_at_points(kind, positions, y, q)
-    return total
+    law = _evolve(_fold_forward(x, R), params, R, t, mutation, reverse=False)
+    # particles beyond R sit right of every y_i: factor 1 in all kinds
+    terms = ((positions, y, num) for (positions, _lumped), num in law.entries)
+    return _contract(kind, terms, law.den, _effective_q(params, mutation))
 
 
 def expect_reversed(
@@ -245,16 +306,15 @@ def expect_reversed(
     L = x[0] if boundary is None else boundary
     if L > x[0]:
         raise ValueError(f"lump boundary {L} must be at most x_1 = {x[0]}")
-    q = _effective_q(params, mutation)
-    total = Fraction(0)
-    for (positions, lumped), prob in _evolve(
-        _fold_reversed(y, L), params, L, t, mutation, reverse=True
-    ):
-        if lumped and kind == "H":
-            continue  # a dual point left of every particle has g = 0
-        # lumped dual points also have height 0 there: factor 1 for G and D
-        total += prob * _functional_at_points(kind, x, positions, q)
-    return total
+    law = _evolve(_fold_reversed(y, L), params, L, t, mutation, reverse=True)
+    # a lumped dual point sits left of every particle: g = 0 there, which
+    # kills H, and height 0, a factor 1 for G and D
+    terms = (
+        (x, positions, num)
+        for (positions, lumped), num in law.entries
+        if not (lumped and kind == "H")
+    )
+    return _contract(kind, terms, law.den, _effective_q(params, mutation))
 
 
 def expect_one_step_held(
@@ -274,29 +334,30 @@ def expect_one_step_held(
     _require_kind(kind)
     x = validate_location(x)
     y = validate_reversed(y)
-    q = params.q
-    total = Fraction(0)
     if side == "forward":
         if not x:
             raise ValueError("forward filter needs at least one particle")
         if not y:
             # the functional is identically 1; the filtered mass is P(hold)
             return params.b1_at(x[0])
-        R = max(y[0], x[-1])
-        for outcome, prob in _forward_entries(x, params, R, None):
-            if outcome.positions and outcome.positions[0] == x[0]:
-                total += prob * _functional_at_points(kind, outcome.positions, y, q)
-        return total
+        law = _forward_entries(x, params, max(y[0], x[-1]), None)
+        terms = (
+            (positions, y, num)
+            for (positions, _lumped), num in law.entries
+            if positions and positions[0] == x[0]
+        )
+        return _contract(kind, terms, law.den, params.q)
     if side == "reversed":
         if not y:
             raise ValueError("reversed filter needs at least one dual particle")
         L = min(y[-1], x[0]) if x else y[-1]
-        for outcome, prob in _reversed_entries(y, params, L, None):
-            if outcome.positions and outcome.positions[0] == y[0]:
-                if outcome.lumped and kind == "H":
-                    continue
-                total += prob * _functional_at_points(kind, x, outcome.positions, q)
-        return total
+        law = _reversed_entries(y, params, L, None)
+        terms = (
+            (x, positions, num)
+            for (positions, lumped), num in law.entries
+            if positions and positions[0] == y[0] and not (lumped and kind == "H")
+        )
+        return _contract(kind, terms, law.den, params.q)
     raise ValueError(f"side must be 'forward' or 'reversed', got {side!r}")
 
 

@@ -8,8 +8,10 @@ Conventions used throughout the package:
   leftmost particle onward and particles only ever jump right.
 * A *reversed configuration* is strictly decreasing (rightmost first); the
   reversed process updates from the rightmost particle and jumps left.
-* Every probability on the exact code path is a ``fractions.Fraction``.
-  Floats appear only in the Monte Carlo estimator.
+* Every probability on the exact code path is exact: a
+  ``fractions.Fraction``, or inside the t-step engine an integer numerator
+  over a shared integer denominator.  Floats appear only in the Monte Carlo
+  estimator.
 
 Parameters are the per-site jump probabilities ``b1`` (probability that an
 unconstrained particle holds still) and ``b2`` (probability of passing
@@ -93,6 +95,13 @@ class Params:
             _check_prob_open(f"b1 = q*b2 at site {site}", self.q * value)
         # Canonical order so equal parameter sets hash equally.
         object.__setattr__(self, "b2_sites", tuple(sorted(self.b2_sites)))
+        # Params key every exact-engine cache, so the Fractions are hashed
+        # once here; b2_at, called per site visited, reads a dict.
+        object.__setattr__(self, "_hash", hash((self.q, self.b2, self.b2_sites)))
+        object.__setattr__(self, "_b2_by_site", dict(self.b2_sites))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def homogeneous(cls, q: Fraction | str, b2: Fraction | str) -> "Params":
@@ -130,10 +139,7 @@ class Params:
         return self.q * self.b2
 
     def b2_at(self, site: int) -> Fraction:
-        for s, value in self.b2_sites:
-            if s == site:
-                return value
-        return self.b2
+        return self._b2_by_site.get(site, self.b2)
 
     def b1_at(self, site: int) -> Fraction:
         return self.q * self.b2_at(site)

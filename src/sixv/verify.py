@@ -142,6 +142,10 @@ def classify_case(x: tuple[int, ...], y: tuple[int, ...]) -> str:
         raise ValueError("classification needs at least two forward particles")
     if not y:
         raise ValueError("classification needs at least one dual particle")
+    return _classify(x, y)
+
+
+def _classify(x: tuple[int, ...], y: tuple[int, ...]) -> str:
     yk = y[-1]
     if yk == x[0]:
         return "at_first"
@@ -153,10 +157,8 @@ def classify_case(x: tuple[int, ...], y: tuple[int, ...]) -> str:
 
 
 def _case_label(x: tuple[int, ...], y: tuple[int, ...]) -> str | None:
-    try:
-        return classify_case(x, y)
-    except ValueError:
-        return None
+    """:func:`classify_case` of already validated configurations, None if undefined."""
+    return _classify(x, y) if len(x) >= 2 and y else None
 
 
 def check_duality(
@@ -168,10 +170,10 @@ def check_duality(
     mutation: Mutation | None = None,
 ) -> CheckReport:
     """Forward vs reversed expectation of the same functional, exactly."""
-    x = validate_location(x)
-    y = validate_reversed(y)
+    # the engines validate x and y (and reject bad input) before either is used
     lhs = expect_forward(x, y, kind, t, params, mutation=mutation)
     rhs = expect_reversed(x, y, kind, t, params, mutation=mutation)
+    x, y = tuple(x), tuple(y)
     return _checked(
         "duality", x, y, params, t, kind, lhs, rhs, case=_case_label(x, y)
     )

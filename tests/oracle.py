@@ -6,6 +6,11 @@ and composes particles by plain recursion over full landing tuples, with an
 analytic geometric remainder past a truncation site.  No lumping, no
 incremental walk: a deliberately different code path from the package's
 enumeration engine, so agreement is evidence rather than tautology.
+
+The one exception is :func:`oracle_t_step_expectation`, which reuses the
+package's one-step laws (checked against the closed forms above) and
+composes them in plain ``Fraction`` arithmetic: it is the reference for the
+engine's scaled-integer composition and contraction.
 """
 
 from __future__ import annotations
@@ -13,6 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from sixv.duality import _functional_at_points
+from sixv.dynamics import (
+    Mutation,
+    forward_step_distribution,
+    reversed_step_distribution,
+)
 from sixv.model import Params
 
 
@@ -199,4 +210,53 @@ def oracle_reversed_expectation_one_step(
         if lumped and kind == "H":
             continue
         total += p * oracle_functional(kind, x, positions, params.q)
+    return total
+
+
+def oracle_t_step_expectation(
+    side: str,
+    x: tuple[int, ...],
+    y: tuple[int, ...],
+    kind: str,
+    t: int,
+    params: Params,
+    mutation: Mutation | None = None,
+    boundary: int | None = None,
+) -> Fraction:
+    """E^x[kind(x(t), y)] (side "forward") or E^y[kind(x, y(t))] ("reversed").
+
+    The lumped one-step laws are composed t times as a dict from
+    (positions, lumped) to a Fraction probability and contracted state by
+    state with the functional.  The lump boundary defaults to y_1 (forward)
+    or x_1 (reversed); initial positions beyond it start lumped.
+    """
+    if not y:
+        return Fraction(1)  # empty product
+    q = 1 / params.q if mutation is Mutation.INVERTED_Q else params.q
+    if side == "forward":
+        boundary = y[0] if boundary is None else boundary
+        kept = tuple(p for p in x if p <= boundary)
+        start, step = x, forward_step_distribution
+    else:
+        if not x:
+            # the engines' convention: without particles every g factor is 0
+            # and every height weight is q^0 = 1, whatever y does
+            return Fraction(0) if kind == "H" else Fraction(1)
+        boundary = x[0] if boundary is None else boundary
+        kept = tuple(p for p in y if p >= boundary)
+        start, step = y, reversed_step_distribution
+    law = {(kept, len(start) - len(kept)): Fraction(1)}
+    for _ in range(t):
+        composed: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        for (positions, lumped), prob in law.items():
+            for outcome, p in step(positions, params, boundary, mutation).entries:
+                key = (outcome.positions, lumped + outcome.lumped)
+                composed[key] = composed.get(key, Fraction(0)) + prob * p
+        law = composed
+    total = Fraction(0)
+    for (positions, lumped), prob in law.items():
+        if side == "forward":
+            total += prob * _functional_at_points(kind, positions, y, q)
+        elif not (lumped and kind == "H"):  # lumped dual points have g = 0
+            total += prob * _functional_at_points(kind, x, positions, q)
     return total

@@ -95,7 +95,11 @@ def test_params_site_lookup():
     assert p.b2_at(2) == Fraction(1, 2)
     assert p.b1_at(2) == Fraction(1, 4)
     assert not p.is_homogeneous()
-
+    # overrides listed in another order name the same parameters
+    twin = Params(q=p.q, b2=p.b2, b2_sites=tuple(reversed(p.b2_sites)))
+    assert twin == p and hash(twin) == hash(p)
+    assert {p: 1}[twin] == 1
+    assert twin.b2_at(0) == Fraction(1, 3)
 
 def test_params_json_round_trip():
     hom = Params.homogeneous("2", "1/4")
