@@ -20,17 +20,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sixv.dynamics import one_particle_kernel
-from sixv.model import Params, format_rational, parse_rational
+from sixv.model import Params, cycled_inhom_params, format_rational, parse_rational
 from sixv.verify import SweepSpec, run_sweep
-
-PALETTE = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
-
-
-def cycled_params(lo: int, hi: int, q: Fraction) -> Params:
-    sites = tuple(
-        (site, PALETTE[(site - lo) % len(PALETTE)]) for site in range(lo, hi + 1)
-    )
-    return Params(q=q, b2=PALETTE[0], b2_sites=sites)
 
 
 def transposed_column_sum(params: Params, y: int, depth: int = 12) -> Fraction:
@@ -55,13 +46,12 @@ def main() -> int:
     parser.add_argument("--window", default="0:5", metavar="LO:HI")
     parser.add_argument("--max-ell", type=int, default=2)
     parser.add_argument("--max-k", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=4)
     args = parser.parse_args()
 
     lo_text, _, hi_text = args.window.partition(":")
     lo, hi = int(lo_text), int(hi_text)
     q = parse_rational(args.q)
-    params = cycled_params(lo, hi, q)
+    params = cycled_inhom_params(lo, hi, q)
 
     spec = SweepSpec(
         max_ell=args.max_ell,
@@ -71,7 +61,7 @@ def main() -> int:
         params_list=(params,),
         kinds=("H",),
     )
-    result = run_sweep(spec, jobs=args.jobs)
+    result = run_sweep(spec)
     print("summary:", json.dumps(result.summary()))
 
     census: dict[tuple[int, int], int] = {}

@@ -16,14 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sixv.model import Params
+from sixv.model import STANDARD_PARAMS
 from sixv.verify import SweepSpec, run_sweep
-
-STANDARD_PARAMS = (
-    Params.from_b1_b2("1/2", "1/4"),
-    Params.from_b1_b2("1/4", "1/2"),
-    Params.from_b1_b2("1/3", "1/6"),
-)
 
 
 def main() -> int:
@@ -32,7 +26,6 @@ def main() -> int:
     parser.add_argument("--max-k", type=int, default=2)
     parser.add_argument("--window", default="0:6", metavar="LO:HI")
     parser.add_argument("--t-list", default="1,2")
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--out", default="standard_sweep.jsonl")
     args = parser.parse_args()
 
@@ -51,7 +44,7 @@ def main() -> int:
                 params_list=STANDARD_PARAMS,
                 kinds=(kind,),
             )
-            result = run_sweep(spec, jobs=args.jobs)
+            result = run_sweep(spec)
             for report in result.reports:
                 handle.write(json.dumps(report.to_json_obj()) + "\n")
             summary = result.summary()

@@ -23,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -106,19 +105,6 @@ def _params_from_args(ns: argparse.Namespace) -> Params:
         raise CliError(str(exc))
 
 
-def _jobs_from_args(ns: argparse.Namespace) -> int:
-    if ns.jobs is not None:
-        jobs = ns.jobs
-    else:
-        try:
-            jobs = int(os.environ.get("SIXV_JOBS", "1"))
-        except ValueError:
-            raise CliError("SIXV_JOBS must be an integer")
-    if jobs < 1:
-        raise CliError("--jobs must be at least 1")
-    return jobs
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -193,13 +179,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(str(exc))
     mutation = MUTATIONS[ns.mutation] if ns.mutation else None
-    result = run_sweep(spec, mutation=mutation, jobs=_jobs_from_args(ns))
+    result = run_sweep(spec, mutation=mutation)
     lines = "".join(json.dumps(r.to_json_obj()) + "\n" for r in result.reports)
-    if ns.out is None:
-        sys.stdout.write(lines)
-    else:
-        with open(ns.out, "w", encoding="utf-8") as handle:
-            handle.write(lines)
+    _emit(lines, ns.out)
     summary = result.summary()
     sys.stdout.write(json.dumps(summary) + "\n")
     return 0 if summary["failed"] == 0 else 1
@@ -283,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--kinds", default="H", help="comma-separated functional kinds (default H)")
     sweep.add_argument("--mutation", choices=sorted(MUTATIONS), default=None,
                        help="inject a known defect; the sweep must catch it")
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default $SIXV_JOBS or 1)")
     sweep.add_argument("--out", default=None, metavar="FILE",
                        help="write report JSONL here; summary always goes to stdout")
     _add_params_flags(sweep)

@@ -48,7 +48,6 @@ from sixv.model import (
     Params,
     ReversedConfig,
     format_rational,
-    to_location,
     validate_location,
     validate_reversed,
 )
@@ -409,6 +408,8 @@ def mc_expectation(
         raise ValueError("y must contain at least one dual particle")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if t == 0:
         exact = _functional_at_points(kind, x, y, params.q)
         return ExpectationResult(

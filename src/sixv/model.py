@@ -170,6 +170,26 @@ class Params:
         return cls(q=q, b2=parse_rational(obj["b2"]))
 
 
+# The homogeneous parameter pairs every standard sweep runs over: two
+# asymmetry regimes q = 2, 1/2 and a repeat of q = 2 at a different scale.
+STANDARD_PARAMS: tuple[Params, ...] = (
+    Params.from_b1_b2("1/2", "1/4"),
+    Params.from_b1_b2("1/4", "1/2"),
+    Params.from_b1_b2("1/3", "1/6"),
+)
+
+INHOM_PALETTE: tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+
+
+def cycled_inhom_params(lo: int, hi: int, q: Fraction = Fraction(1, 2)) -> Params:
+    """Deterministic site-varying parameters: the palette cycled over [lo, hi]."""
+    sites = tuple(
+        (site, INHOM_PALETTE[(site - lo) % len(INHOM_PALETTE)])
+        for site in range(lo, hi + 1)
+    )
+    return Params(q=q, b2=INHOM_PALETTE[0], b2_sites=sites)
+
+
 def validate_location(positions: Iterable[int]) -> LocationConfig:
     """Normalize to a strictly increasing tuple; reject disorder or repeats."""
     pos = tuple(positions)

@@ -26,12 +26,10 @@ Case labels over ℓ ≥ 2 (mutually exclusive and total):
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from multiprocessing import get_context
 from typing import Iterator, Sequence
 
 from sixv.dynamics import Mutation
@@ -207,35 +205,16 @@ def check_truncation_invariance(
     fwd = expect_forward(x, y, kind, 1, params)
     rev_aug = expect_reversed(augmented, y, kind, 1, params)
     rev = expect_reversed(x, y, kind, 1, params)
-    verdict_pair_ok = fwd_aug == fwd and rev_aug == rev
-    report = _checked(
-        "truncation_invariance",
-        augmented,
-        y,
-        params,
-        1,
-        kind,
-        fwd_aug,
-        fwd,
-        case=None,
-        detail=(
-            f"reversed side: {format_rational(rev_aug)} vs {format_rational(rev)}"
-        ),
-    )
-    if report.verdict == "pass" and not verdict_pair_ok:
+    if fwd_aug == fwd and rev_aug != rev:
         # forward matched but reversed did not: surface as failure
-        return _checked(
-            "truncation_invariance",
-            augmented,
-            y,
-            params,
-            1,
-            kind,
-            rev_aug,
-            rev,
-            detail="reversed side diverged",
-        )
-    return report
+        lhs, rhs, detail = rev_aug, rev, "reversed side diverged"
+    else:
+        lhs, rhs = fwd_aug, fwd
+        detail = f"reversed side: {format_rational(rev_aug)} vs {format_rational(rev)}"
+    return _checked(
+        "truncation_invariance", augmented, y, params, 1, kind, lhs, rhs,
+        detail=detail,
+    )
 
 
 def check_lemma_factorization(
@@ -311,7 +290,7 @@ def check_case_identities(
                 "fewer_than_two_particles: no decomposition below two particles",
             )
         ]
-    case = classify_case(x, y)
+    case = _classify(x, y)
     k = len(y)
     q = params.q
     yk = y[-1]
@@ -330,10 +309,9 @@ def check_case_identities(
         # particle; the duality check itself covers these instances.
         report = check_duality(x, y, "H", 1, params)
         return [
-            CheckReport(
-                report.identity, report.x, report.y, report.params, report.t,
-                report.kind, report.lhs, report.rhs, report.verdict, case,
-                "no dedicated decomposition; checked via duality directly",
+            replace(
+                report,
+                detail="no dedicated decomposition; checked via duality directly",
             )
         ]
 
@@ -417,6 +395,11 @@ class SweepSpec:
     kinds: tuple[str, ...] = ("H",)
 
     def __post_init__(self) -> None:
+        # type() rather than isinstance(): bools are not counts or sites
+        if len(self.window) != 2 or any(type(v) is not int for v in self.window):
+            raise ValueError(f"window must be two ints, got {self.window!r}")
+        if type(self.max_ell) is not int or type(self.max_k) is not int:
+            raise ValueError("max_ell and max_k must be ints")
         lo, hi = self.window
         if hi < lo:
             raise ValueError(f"empty window [{lo}, {hi}]")
@@ -428,8 +411,8 @@ class SweepSpec:
             raise ValueError("need max_ell + max_k >= 2; nothing to check")
         if not self.params_list:
             raise ValueError("at least one Params required")
-        if not self.t_range or any(t < 0 for t in self.t_range):
-            raise ValueError("t_range must be nonempty, all t >= 0")
+        if not self.t_range or any(type(t) is not int or t < 0 for t in self.t_range):
+            raise ValueError("t_range must be nonempty ints, all t >= 0")
         for kind in self.kinds:
             if kind not in KINDS:
                 raise ValueError(f"unknown kind {kind!r}")
@@ -446,9 +429,14 @@ class SweepSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SweepSpec":
+        if not isinstance(obj, dict):
+            raise ValueError("a sweep spec must be a JSON object")
+        for key in ("window", "t_range", "kinds", "params"):
+            if not isinstance(obj.get(key, []), list):
+                raise ValueError(f"{key} must be a JSON list, got {obj[key]!r}")
         return cls(
-            max_ell=int(obj["max_ell"]),
-            max_k=int(obj["max_k"]),
+            max_ell=obj["max_ell"],
+            max_k=obj["max_k"],
             window=tuple(obj["window"]),
             t_range=tuple(obj.get("t_range", [1])),
             params_list=tuple(Params.from_json_obj(p) for p in obj["params"]),
@@ -471,15 +459,6 @@ def iter_config_pairs(
                     yield xs, tuple(reversed(ys))
 
 
-def _duality_instance(
-    args: tuple[
-        tuple[int, ...], tuple[int, ...], str, int, Params, Mutation | None
-    ]
-) -> CheckReport:
-    x, y, kind, t, params, mutation = args
-    return check_duality(x, y, kind, t, params, mutation)
-
-
 @dataclass
 class SweepResult:
     reports: list[CheckReport]
@@ -500,30 +479,22 @@ class SweepResult:
         }
 
 
-def run_sweep(
-    spec: SweepSpec, mutation: Mutation | None = None, jobs: int = 1
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> SweepResult:
     """Duality checks over every instance of the spec, canonically ordered.
 
-    Instances are enumerated params-major, then kind, t, and configuration;
-    parallel execution (jobs > 1) preserves exactly that report order, so
-    output is byte-stable regardless of parallelism.  ``mutation`` is the
-    negative-control hook: it injects a deliberate defect so the sweep can
-    demonstrate it would catch a wrong implementation.
+    Instances are enumerated params-major, then kind, t, and configuration
+    (:func:`iter_config_pairs`), so the report order is fixed by the spec.
+    ``mutation`` is the negative-control hook: it injects a deliberate
+    defect so the sweep can demonstrate it would catch a wrong
+    implementation.
     """
     start = time.monotonic()
-    instances = [
-        (x, y, kind, t, params, mutation)
+    reports = [
+        check_duality(x, y, kind, t, params, mutation)
         for params in spec.params_list
         for kind in spec.kinds
         for t in spec.t_range
         for x, y in iter_config_pairs(spec)
     ]
-    if jobs > 1 and len(instances) > 1:
-        ctx = get_context("fork") if os.name == "posix" else get_context()
-        with ctx.Pool(processes=jobs) as pool:
-            reports = list(pool.imap(_duality_instance, instances, chunksize=64))
-    else:
-        reports = [_duality_instance(inst) for inst in instances]
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return SweepResult(reports=reports, elapsed_ms=elapsed_ms)

@@ -1,39 +1,13 @@
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
-
-from sixv.model import Params
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("default")
-
-# The homogeneous parameter triples every standard sweep runs over: two
-# asymmetry regimes q = 2, 1/2 and a repeat of q = 2 at different scale.
-STANDARD_PARAMS: tuple[Params, ...] = (
-    Params.from_b1_b2("1/2", "1/4"),
-    Params.from_b1_b2("1/4", "1/2"),
-    Params.from_b1_b2("1/3", "1/6"),
-)
-
-INHOM_PALETTE: tuple[Fraction, ...] = (
-    Fraction(1, 4),
-    Fraction(1, 3),
-    Fraction(1, 2),
-)
-
-
-def cycled_inhom_params(lo: int, hi: int, q: Fraction = Fraction(1, 2)) -> Params:
-    """Deterministic site-varying parameters: the palette cycled over [lo, hi]."""
-    sites = tuple(
-        (site, INHOM_PALETTE[(site - lo) % len(INHOM_PALETTE)])
-        for site in range(lo, hi + 1)
-    )
-    return Params(q=q, b2=INHOM_PALETTE[0], b2_sites=sites)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

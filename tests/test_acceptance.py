@@ -8,12 +8,10 @@ band, and that band comes from the estimator's own standard error.
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import STANDARD_PARAMS, cycled_inhom_params
 from sixv.dynamics import (
     Mutation,
     forward_step_distribution,
@@ -26,7 +24,13 @@ from sixv.duality import (
     expect_reversed,
     mc_expectation,
 )
-from sixv.model import VertexType, format_rational, vertex_weight
+from sixv.model import (
+    STANDARD_PARAMS,
+    VertexType,
+    cycled_inhom_params,
+    format_rational,
+    vertex_weight,
+)
 from sixv.verify import (
     SweepSpec,
     check_case_identities,
@@ -53,12 +57,8 @@ def _record(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-def _jobs() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def test_criterion_01_forward_reversed_agreement_for_h():
-    result = run_sweep(STANDARD_DOMAIN, jobs=_jobs())
+    result = run_sweep(STANDARD_DOMAIN)
     summary = result.summary()
     ok = summary["failed"] == 0 and summary["elapsed_ms"] < 120_000
     _record(
@@ -75,7 +75,7 @@ def test_criterion_02_forward_reversed_agreement_for_g_and_d():
         max_ell=3, max_k=2, window=(0, 6), t_range=(1, 2),
         params_list=STANDARD_PARAMS, kinds=("G", "D"),
     )
-    result = run_sweep(spec, jobs=_jobs())
+    result = run_sweep(spec)
     summary = result.summary()
     _record(
         2,
@@ -240,9 +240,7 @@ def test_criterion_08_each_seeded_defect_breaks_the_sweep():
     )
     counts = {}
     for mutation in Mutation:
-        counts[mutation.name] = run_sweep(
-            spec, mutation=mutation, jobs=_jobs()
-        ).summary()["failed"]
+        counts[mutation.name] = run_sweep(spec, mutation=mutation).summary()["failed"]
     spread = ", ".join(f"{name}={n}" for name, n in counts.items())
     _record(
         8,
@@ -256,7 +254,7 @@ def test_criterion_09_site_dependent_parameters_reported_with_witness():
         max_ell=2, max_k=2, window=(0, 5), t_range=(1,),
         params_list=(cycled_inhom_params(0, 5),), kinds=("H",),
     )
-    result = run_sweep(spec, jobs=_jobs())
+    result = run_sweep(spec)
     summary = result.summary()
     expected_total = sum(1 for _ in iter_config_pairs(spec))
     complete = summary["total"] == expected_total

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import STANDARD_PARAMS, cycled_inhom_params
 from sixv.dynamics import (
     Mutation,
     forward_step_distribution,
@@ -27,7 +26,13 @@ from sixv.duality import (
     expect_reversed,
     mc_expectation,
 )
-from sixv.model import OccupationConfig, Params, to_occupation
+from sixv.model import (
+    STANDARD_PARAMS,
+    OccupationConfig,
+    Params,
+    cycled_inhom_params,
+    to_occupation,
+)
 
 P_HALF_QUARTER = Params.from_b1_b2("1/2", "1/4")  # q = 2
 
@@ -441,3 +446,5 @@ def test_mc_input_validation():
         mc_expectation("forward", (0,), (1,), "H", 1, P_HALF_QUARTER, 0, seed=1)
     with pytest.raises(ValueError):
         mc_expectation("backward", (0,), (1,), "H", 1, P_HALF_QUARTER, 10, seed=1)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        mc_expectation("forward", (0,), (1,), "H", -3, P_HALF_QUARTER, 10, seed=1)

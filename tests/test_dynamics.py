@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import STANDARD_PARAMS, cycled_inhom_params
 from sixv.dynamics import (
     LumpedOutcome,
     Mutation,
@@ -17,7 +16,7 @@ from sixv.dynamics import (
     sample_reversed_step,
     trajectory_rng,
 )
-from sixv.model import Params
+from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
 
 P_HALF_QUARTER = Params.from_b1_b2("1/2", "1/4")
 

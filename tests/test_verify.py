@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STANDARD_PARAMS
 from sixv.dynamics import Mutation
-from sixv.model import Params
+from sixv.model import STANDARD_PARAMS, Params
 from sixv.verify import (
     CheckReport,
     SweepSpec,
@@ -379,14 +378,20 @@ def test_small_sweep_passes_and_counts_consistently():
     assert result.failures == []
 
 
-def test_parallel_sweep_produces_identical_reports():
+def test_sweep_reports_follow_the_canonical_order():
     spec = SweepSpec(
         max_ell=2, max_k=2, window=(0, 3), t_range=(1, 2),
         params_list=(P_HALF_QUARTER,), kinds=("H", "G"),
     )
-    serial = run_sweep(spec, jobs=1)
-    parallel = run_sweep(spec, jobs=4)
-    assert serial.reports == parallel.reports
+    result = run_sweep(spec)
+    expected = [
+        (params, kind, t, x, y)
+        for params in spec.params_list
+        for kind in spec.kinds
+        for t in spec.t_range
+        for x, y in iter_config_pairs(spec)
+    ]
+    assert [(r.params, r.kind, r.t, r.x, r.y) for r in result.reports] == expected
 
 
 @pytest.mark.parametrize("mutation", list(Mutation))
