@@ -9,6 +9,12 @@ y_1 > ... > y_k (q is the asymmetry ratio b1/b2):
 
 with N_s(g) the number of particles at or left of s.
 
+One engine serves both sides of the duality.  The forward side moves the
+particles x against fixed dual points y; the reversed side moves y against
+fixed x.  The direction is data: ``step`` is +1 forward and -1 reversed,
+and it picks the step law, the lump boundary's side and which argument of
+the functional moves.
+
 Exact expectations compose the lumped one-step laws from
 :mod:`sixv.dynamics`.  The lump boundaries are chosen so that lumped
 particles contribute a constant factor to every functional: forward
@@ -16,12 +22,17 @@ particles beyond R = y_1 sit right of every evaluation point, reversed
 particles below L = x_1 see an empty left tail (factor 0 for H, 1 for G
 and D).  Nothing is truncated; every result is an exact rational.
 
-The engine works in scaled integers.  Each cached one-step law is one lcm
-denominator plus integer numerators (:class:`ScaledLaw`); t-step laws
-compose those with integer multiplies and adds, reduced by their gcd after
-every step.  Contraction uses that every functional is 0 or q^(-m) for an
-integer m: numerators are summed per m, and one Fraction is built per
-expectation from q = a/b at the end.
+The engine works in scaled integers.  Each cached one-step law is a
+:class:`~sixv.dynamics.ScaledLaw`, one lcm denominator over integer
+numerators; t-step laws compose those in a loop with integer multiplies
+and adds, reduced by their gcd after every step.  Contraction uses that
+every functional is 0 or q^(-m) for an integer m: numerators are summed
+per m, and one Fraction is built per expectation from q = a/b at the end.
+
+Configurations are validated once, by the public entry points (here
+``exact_expectation_*``, ``mc_expectation`` and ``eval_functional``; the
+checkers in :mod:`sixv.verify`).  ``expect_forward``, ``expect_reversed``
+and ``expect_one_step_held`` take tuples that are already checked.
 """
 
 from __future__ import annotations
@@ -31,15 +42,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
 
 from sixv.dynamics import (
     Mutation,
-    StepDistribution,
-    forward_step_distribution,
-    reversed_step_distribution,
-    sample_forward_step,
-    sample_reversed_step,
+    ScaledLaw,
+    State,
+    _sample_step,
+    _step_distribution,
     trajectory_rng,
 )
 from sixv.model import (
@@ -48,19 +57,36 @@ from sixv.model import (
     Params,
     ReversedConfig,
     format_rational,
-    validate_location,
+    validate_instance,
     validate_reversed,
 )
 
 KINDS = ("H", "G", "D")
 
-# DP state: resolved particle positions plus the count lumped past the boundary.
-State = tuple[tuple[int, ...], int]
-
 
 def _require_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def _step_of(side: str) -> int:
+    """+1 for the forward side, -1 for the reversed side."""
+    if side == "forward":
+        return +1
+    if side == "reversed":
+        return -1
+    raise ValueError(f"side must be 'forward' or 'reversed', got {side!r}")
+
+
+def _oriented(
+    step: int, moving: tuple[int, ...], fixed: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(particles, dual points) from the moving and the fixed configuration.
+
+    Forward the particles move, reversed the dual points.  The map is its
+    own inverse, so ``_oriented(step, x, y)`` is (moving, fixed).
+    """
+    return (moving, fixed) if step > 0 else (fixed, moving)
 
 
 @dataclass(frozen=True)
@@ -132,20 +158,25 @@ def eval_functional(
 
 
 def _contract(
-    kind: str,
-    terms: Iterable[tuple[tuple[int, ...], tuple[int, ...], int]],
-    den: int,
-    q: Fraction,
+    kind: str, law: ScaledLaw, fixed: tuple[int, ...], step: int, q: Fraction
 ) -> Fraction:
-    """sum of num/den * kind(particles, points) over (particles, points, num).
+    """sum of num/den * kind(particles, points) over a moving side's law.
 
-    Numerators are summed per exponent m, then with q = a/b, so that
+    Forward, particles lumped beyond R sit right of every dual point: a
+    factor 1 in all kinds.  Reversed, a lumped dual point sits left of every
+    particle: g = 0 there, which kills H, and height 0, a factor 1 for G and
+    D.  Numerators are summed per exponent m, then with q = a/b, so that
     q^(-m) = b^m / a^m, every m is brought over the one denominator
     a^top * den, top the largest exponent.
     """
     by_exponent: dict[int, int] = {}
-    for particles, points, num in terms:
-        m = _exponent_at_points(kind, particles, points)
+    for (positions, lumped), num in law.entries:
+        if step > 0:
+            m = _exponent_at_points(kind, positions, fixed)
+        elif lumped and kind == "H":
+            continue
+        else:
+            m = _exponent_at_points(kind, fixed, positions)
         if m is not None:
             by_exponent[m] = by_exponent.get(m, 0) + num
     if not by_exponent:
@@ -153,63 +184,35 @@ def _contract(
     a, b = q.numerator, q.denominator
     top = max(by_exponent)
     numerator = sum(c * b**m * a ** (top - m) for m, c in by_exponent.items())
-    return Fraction(numerator, den * a**top)
+    return Fraction(numerator, law.den * a**top)
 
 
 # --- exact engines ---------------------------------------------------------------
 
 
-class ScaledLaw(NamedTuple):
-    """A finite law with probability ``num / den`` on each (state, num) entry.
-
-    Under the landing-factor mutation the numerators sum to less than
-    ``den``; otherwise they sum to exactly ``den``.
-    """
-
-    den: int
-    entries: tuple[tuple[State, int], ...]
-
-
-def _fold_forward(x: tuple[int, ...], boundary: int) -> State:
+def _fold(moving: tuple[int, ...], boundary: int, step: int) -> State:
     """Initial DP state: positions beyond the boundary enter the lump at once.
 
     Exact because a resolved particle's walk lumps at the boundary before it
     could ever reach a beyond-boundary neighbour's pre-update position, with
     the same crossing mass either way.
     """
-    kept = tuple(p for p in x if p <= boundary)
-    return kept, len(x) - len(kept)
-
-
-def _fold_reversed(y: tuple[int, ...], boundary: int) -> State:
-    kept = tuple(p for p in y if p >= boundary)
-    return kept, len(y) - len(kept)
-
-
-def _scaled(law: StepDistribution) -> ScaledLaw:
-    """One step law over its lcm denominator, keyed by (positions, lumped)."""
-    den = math.lcm(*(p.denominator for _, p in law.entries))
-    return ScaledLaw(
-        den,
-        tuple(
-            ((o.positions, o.lumped), p.numerator * (den // p.denominator))
-            for o, p in law.entries
-        ),
-    )
+    kept = tuple(p for p in moving if (p - boundary) * step <= 0)
+    return kept, len(moving) - len(kept)
 
 
 @lru_cache(maxsize=None)
 def _forward_entries(
     positions: tuple[int, ...], params: Params, R: int, mutation: Mutation | None
 ) -> ScaledLaw:
-    return _scaled(forward_step_distribution(positions, params, R, mutation))
+    return _step_distribution(positions, params, R, +1, mutation)
 
 
 @lru_cache(maxsize=None)
 def _reversed_entries(
     positions: tuple[int, ...], params: Params, L: int, mutation: Mutation | None
 ) -> ScaledLaw:
-    return _scaled(reversed_step_distribution(positions, params, L, mutation))
+    return _step_distribution(positions, params, L, -1, mutation)
 
 
 @lru_cache(maxsize=None)
@@ -219,33 +222,66 @@ def _evolve(
     boundary: int,
     t: int,
     mutation: Mutation | None,
-    reverse: bool,
+    step: int,
 ) -> ScaledLaw:
-    """t-step law from a lumped state, in lowest terms."""
-    if t == 0:
-        return ScaledLaw(1, ((state, 1),))
-    step = _reversed_entries if reverse else _forward_entries
-    prev = _evolve(state, params, boundary, t - 1, mutation, reverse)
-    laws = [
-        (lumped, num, step(positions, params, boundary, mutation))
-        for (positions, lumped), num in prev.entries
-    ]
-    scale = math.lcm(*(law.den for _, _, law in laws))
-    acc: dict[State, int] = {}
-    for lumped, num, law in laws:
-        weight = num * (scale // law.den)
-        for (positions, more), p in law.entries:
-            key = (positions, lumped + more)
-            acc[key] = acc.get(key, 0) + weight * p
-    den = prev.den * scale
-    g = math.gcd(den, *acc.values())
-    if g > 1:
-        return ScaledLaw(den // g, tuple((key, p // g) for key, p in acc.items()))
-    return ScaledLaw(den, tuple(acc.items()))
+    """t-step law from a lumped state, in lowest terms.
+
+    The steps compose in a loop, so no horizon is too long for the stack.
+    """
+    one_step = _forward_entries if step > 0 else _reversed_entries
+    law = ScaledLaw(1, ((state, 1),))
+    for _ in range(t):
+        laws = [
+            (lumped, num, one_step(positions, params, boundary, mutation))
+            for (positions, lumped), num in law.entries
+        ]
+        scale = math.lcm(*(one.den for _, _, one in laws))
+        acc: dict[State, int] = {}
+        for lumped, num, one in laws:
+            weight = num * (scale // one.den)
+            for (positions, more), p in one.entries:
+                key = (positions, lumped + more)
+                acc[key] = acc.get(key, 0) + weight * p
+        den = law.den * scale
+        g = math.gcd(den, *acc.values())
+        if g > 1:
+            law = ScaledLaw(den // g, tuple((key, p // g) for key, p in acc.items()))
+        else:
+            law = ScaledLaw(den, tuple(acc.items()))
+    return law
 
 
-def _effective_q(params: Params, mutation: Mutation | None) -> Fraction:
-    return 1 / params.q if mutation is Mutation.INVERTED_Q else params.q
+def _expect(
+    x: LocationConfig,
+    y: ReversedConfig,
+    kind: str,
+    t: int,
+    params: Params,
+    boundary: int | None,
+    mutation: Mutation | None,
+    step: int,
+) -> Fraction:
+    """The body of :func:`expect_forward` (step +1) and :func:`expect_reversed` (-1)."""
+    _require_kind(kind)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    moving, fixed = _oriented(step, x, y)
+    if not fixed:
+        # the moving side cannot change the value: without dual points it is
+        # the empty product 1; without particles H is 0 and G, D are q^0 = 1
+        return Fraction(0 if _exponent_at_points(kind, x, y) is None else 1)
+    if boundary is None:
+        boundary = fixed[0]
+    elif (boundary - fixed[0]) * step < 0:
+        bound = "at least y_1" if step > 0 else "at most x_1"
+        raise ValueError(f"lump boundary {boundary} must be {bound} = {fixed[0]}")
+    # INVERTED_Q is a defect of the functional alone: the dynamics stay
+    # clean and share the clean laws' cache entries
+    q = params.q
+    if mutation is Mutation.INVERTED_Q:
+        mutation, q = None, 1 / q
+    law = _evolve(_fold(moving, boundary, step), params, boundary, t, mutation, step)
+    return _contract(kind, law, fixed, step, q)
 
 
 def expect_forward(
@@ -257,26 +293,13 @@ def expect_forward(
     boundary: int | None = None,
     mutation: Mutation | None = None,
 ) -> Fraction:
-    """E^x[kind(x(t), y)] as an exact rational.
+    """E^x[kind(x(t), y)] as an exact rational, for already validated x and y.
 
     Internal workhorse: accepts empty y (empty product, so the value is 1)
     so the identity checkers can express their sub-expectations.  The lump
     boundary defaults to y_1 and may be enlarged freely.
     """
-    _require_kind(kind)
-    x = validate_location(x)
-    y = validate_reversed(y)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if not y:
-        return Fraction(1)
-    R = y[0] if boundary is None else boundary
-    if R < y[0]:
-        raise ValueError(f"lump boundary {R} must be at least y_1 = {y[0]}")
-    law = _evolve(_fold_forward(x, R), params, R, t, mutation, reverse=False)
-    # particles beyond R sit right of every y_i: factor 1 in all kinds
-    terms = ((positions, y, num) for (positions, _lumped), num in law.entries)
-    return _contract(kind, terms, law.den, _effective_q(params, mutation))
+    return _expect(x, y, kind, t, params, boundary, mutation, +1)
 
 
 def expect_reversed(
@@ -291,29 +314,10 @@ def expect_reversed(
     """E^y[kind(x, y(t))] as an exact rational; mirror of :func:`expect_forward`.
 
     Accepts empty x: then every g factor is 0, so H vanishes while G and D
-    are products of q^0 = 1 whatever y does.
+    are products of q^0 = 1 whatever y does.  The lump boundary defaults to
+    x_1 and may be lowered freely.
     """
-    _require_kind(kind)
-    x = validate_location(x)
-    y = validate_reversed(y)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if not y:
-        return Fraction(1)
-    if not x:
-        return Fraction(0) if kind == "H" else Fraction(1)
-    L = x[0] if boundary is None else boundary
-    if L > x[0]:
-        raise ValueError(f"lump boundary {L} must be at most x_1 = {x[0]}")
-    law = _evolve(_fold_reversed(y, L), params, L, t, mutation, reverse=True)
-    # a lumped dual point sits left of every particle: g = 0 there, which
-    # kills H, and height 0, a factor 1 for G and D
-    terms = (
-        (x, positions, num)
-        for (positions, lumped), num in law.entries
-        if not (lumped and kind == "H")
-    )
-    return _contract(kind, terms, law.den, _effective_q(params, mutation))
+    return _expect(x, y, kind, t, params, boundary, mutation, -1)
 
 
 def expect_one_step_held(
@@ -328,36 +332,21 @@ def expect_one_step_held(
     side = "forward": E^x[kind(x(1), y) ; x_1(1) = x_1] — the event filter
     conditions on the leftmost particle staying put.  side = "reversed" is
     the mirror for the rightmost dual particle.  The moving configuration
-    must be nonempty.
+    must be nonempty; x and y must be validated already.
     """
     _require_kind(kind)
-    x = validate_location(x)
-    y = validate_reversed(y)
-    if side == "forward":
-        if not x:
-            raise ValueError("forward filter needs at least one particle")
-        if not y:
-            # the functional is identically 1; the filtered mass is P(hold)
-            return params.b1_at(x[0])
-        law = _forward_entries(x, params, max(y[0], x[-1]), None)
-        terms = (
-            (positions, y, num)
-            for (positions, _lumped), num in law.entries
-            if positions and positions[0] == x[0]
-        )
-        return _contract(kind, terms, law.den, params.q)
-    if side == "reversed":
-        if not y:
-            raise ValueError("reversed filter needs at least one dual particle")
-        L = min(y[-1], x[0]) if x else y[-1]
-        law = _reversed_entries(y, params, L, None)
-        terms = (
-            (x, positions, num)
-            for (positions, lumped), num in law.entries
-            if positions and positions[0] == y[0] and not (lumped and kind == "H")
-        )
-        return _contract(kind, terms, law.den, params.q)
-    raise ValueError(f"side must be 'forward' or 'reversed', got {side!r}")
+    step = _step_of(side)
+    moving, fixed = _oriented(step, x, y)
+    if not moving:
+        raise ValueError(f"the {side} filter needs a nonempty moving configuration")
+    # a boundary past every site leaves nothing lumped at the start
+    boundary = step * max(step * p for p in x + y)
+    one_step = _forward_entries if step > 0 else _reversed_entries
+    law = one_step(moving, params, boundary, None)
+    held = tuple(
+        (state, num) for state, num in law.entries if state[0][:1] == moving[:1]
+    )
+    return _contract(kind, ScaledLaw(law.den, held), fixed, step, params.q)
 
 
 # --- public wrappers --------------------------------------------------------------
@@ -367,9 +356,7 @@ def exact_expectation_forward(
     x: LocationConfig, y: ReversedConfig, kind: str, t: int, params: Params
 ) -> ExpectationResult:
     """E^x[kind(x(t), y)], exact; y must carry at least one dual particle."""
-    y = validate_reversed(y)
-    if not y:
-        raise ValueError("y must contain at least one dual particle")
+    x, y = validate_instance(x, y)
     return ExpectationResult(value=expect_forward(x, y, kind, t, params))
 
 
@@ -377,9 +364,7 @@ def exact_expectation_reversed(
     x: LocationConfig, y: ReversedConfig, kind: str, t: int, params: Params
 ) -> ExpectationResult:
     """E^y[kind(x, y(t))], exact; mirror engine with lump boundary x_1."""
-    y = validate_reversed(y)
-    if not y:
-        raise ValueError("y must contain at least one dual particle")
+    x, y = validate_instance(x, y)
     return ExpectationResult(value=expect_reversed(x, y, kind, t, params))
 
 
@@ -400,12 +385,8 @@ def mc_expectation(
     of evaluation order.  t = 0 short-circuits to the exact value.
     """
     _require_kind(kind)
-    if side not in ("forward", "reversed"):
-        raise ValueError(f"side must be 'forward' or 'reversed', got {side!r}")
-    x = validate_location(x)
-    y = validate_reversed(y)
-    if not y:
-        raise ValueError("y must contain at least one dual particle")
+    step = _step_of(side)
+    x, y = validate_instance(x, y)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if t < 0:
@@ -415,21 +396,16 @@ def mc_expectation(
         return ExpectationResult(
             mean=float(exact), stderr=0.0, n=n_samples, seed=seed
         )
+    moving, fixed = _oriented(step, x, y)
     q = params.q
     total = 0.0
     total_sq = 0.0
     for i in range(n_samples):
         rng = trajectory_rng(seed, i)
-        if side == "forward":
-            current = x
-            for _ in range(t):
-                current = sample_forward_step(current, params, rng)
-            v = float(_functional_at_points(kind, current, y, q))
-        else:
-            current = y
-            for _ in range(t):
-                current = sample_reversed_step(current, params, rng)
-            v = float(_functional_at_points(kind, x, current, q))
+        current = moving
+        for _ in range(t):
+            current = _sample_step(current, params, step, rng)
+        v = float(_functional_at_points(kind, *_oriented(step, current, fixed), q))
         total += v
         total_sq += v * v
     mean = total / n_samples

@@ -18,22 +18,27 @@ particle crosses the boundary (forward: > R, reversed: < L) is aggregated
 per prefix into a single outcome carrying only a particle count.  The
 crossing mass is a closed-form product of pass-through factors, so the
 distribution stays finite and exactly rational — nothing is truncated.
+
+Every law is a :class:`ScaledLaw`: one lcm denominator over integer
+numerators, keyed by (resolved positions, lumped count); the t-step engine
+in :mod:`sixv.duality` composes these directly.  The public
+``*_step_distribution`` functions validate their input; the shared
+enumeration takes configurations that are already checked.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from sixv.model import (
     LocationConfig,
     Params,
     ReversedConfig,
-    format_rational,
     validate_location,
     validate_reversed,
 )
@@ -46,8 +51,10 @@ class Mutation(Enum):
     gap-saturating jump, leaking probability mass.
     PUSH_TRIGGER: a particle is pushed whenever its neighbour moved at all,
     not only when the neighbour landed on it.
-    INVERTED_Q: functionals are evaluated with 1/q in place of q (dynamics
-    untouched).
+    INVERTED_Q: functionals are evaluated with 1/q in place of q.  It acts
+    only where the exact engine picks q for contraction: the step laws here
+    ignore it, and the engine drops it from its cache keys, so an inverted
+    run reuses the clean laws.
     """
 
     LANDING_FACTOR = "landing_factor"
@@ -55,76 +62,49 @@ class Mutation(Enum):
     INVERTED_Q = "inverted_q"
 
 
-@dataclass(frozen=True)
-class LumpedOutcome:
-    """Resolved particle positions plus a count of particles beyond the boundary.
+# A lumped outcome: resolved positions plus the count lumped past the boundary.
+State = tuple[tuple[int, ...], int]
 
-    Forward outcomes keep positions strictly increasing and ≤ R with
-    ``lumped`` particles somewhere right of R; reversed outcomes are strictly
-    decreasing and ≥ L with ``lumped`` particles left of L.
+
+class ScaledLaw(NamedTuple):
+    """Exact finite law with probability ``num / den`` on each (state, num) entry.
+
+    One-step and t-step laws alike.  :meth:`check` holds a one-step law to
+    the rules its enumeration guarantees.
     """
 
-    positions: tuple[int, ...]
-    lumped: int = 0
+    den: int
+    entries: tuple[tuple[State, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.lumped < 0:
-            raise ValueError("lumped count must be >= 0")
+    def check(self, boundary: int, step: int, mass_deficit: bool = False) -> None:
+        """Reject anything but a lumped one-step law in the ``step`` direction.
 
-
-@dataclass(frozen=True)
-class StepDistribution:
-    """Exact finite one-step law over lumped outcomes.
-
-    ``descending`` tells which ordering the resolved positions obey (the
-    reversed process lists positions right to left).  Unless
-    ``mass_deficit`` is set (only the landing-factor mutation does that),
-    construction enforces that probabilities are positive, outcomes unique
-    and the total is exactly 1.
-    """
-
-    entries: tuple[tuple[LumpedOutcome, Fraction], ...]
-    lump_boundary: int
-    descending: bool = False
-    mass_deficit: bool = field(default=False, compare=False)
-
-    def __post_init__(self) -> None:
-        seen: set[LumpedOutcome] = set()
-        for outcome, prob in self.entries:
-            if prob <= 0:
-                raise ValueError(f"non-positive probability {prob} for {outcome}")
-            if outcome in seen:
-                raise ValueError(f"duplicate outcome {outcome}")
-            seen.add(outcome)
-            step = -1 if self.descending else 1
-            pos = outcome.positions
-            if any((b - a) * step <= 0 for a, b in zip(pos, pos[1:])):
-                raise ValueError(f"outcome positions out of order: {pos}")
-            if pos:
-                edge = max(pos) if not self.descending else -min(pos)
-                bound = self.lump_boundary if not self.descending else -self.lump_boundary
-                if edge > bound:
-                    raise ValueError(
-                        f"resolved position crosses the lump boundary: {outcome}"
-                    )
-        total = self.total_mass()
-        if not self.mass_deficit and total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if self.mass_deficit and total > 1:
-            raise ValueError(f"probabilities sum to {total} > 1")
-
-    def total_mass(self) -> Fraction:
-        return sum((p for _, p in self.entries), Fraction(0))
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {
-                "positions": list(outcome.positions),
-                "lumped": outcome.lumped,
-                "prob": format_rational(prob),
-            }
-            for outcome, prob in self.entries
-        ]
+        Numerators are positive, outcomes unique, lumped counts non-negative,
+        resolved positions strictly ordered along ``step`` (+1: increasing,
+        -1: decreasing) with none past ``boundary``, and the numerators sum
+        to exactly ``den``; to at most ``den`` when ``mass_deficit`` is set
+        (only the landing-factor mutation does that).
+        """
+        if self.den < 1:
+            raise ValueError(f"denominator {self.den} must be positive")
+        seen: set[State] = set()
+        total = 0
+        for state, num in self.entries:
+            positions, lumped = state
+            if num <= 0:
+                raise ValueError(f"non-positive numerator {num} for {state}")
+            if lumped < 0:
+                raise ValueError(f"lumped count must be >= 0 in {state}")
+            if state in seen:
+                raise ValueError(f"duplicate outcome {state}")
+            seen.add(state)
+            if any((b - a) * step <= 0 for a, b in zip(positions, positions[1:])):
+                raise ValueError(f"outcome positions out of order: {positions}")
+            if positions and (positions[-1] - boundary) * step > 0:
+                raise ValueError(f"resolved position crosses the lump boundary: {state}")
+            total += num
+        if total > self.den or (total < self.den and not mass_deficit):
+            raise ValueError(f"numerators sum to {total}, not den = {self.den}")
 
 
 def one_particle_kernel(x: int, y: int, params: Params) -> Fraction:
@@ -142,20 +122,6 @@ def one_particle_kernel(x: int, y: int, params: Params) -> Fraction:
     for site in range(x + 1, y):
         prob *= params.b2_at(site)
     return prob * (1 - params.b2_at(y))
-
-
-def _sorted_entries(
-    acc: dict[LumpedOutcome, Fraction], boundary: int, descending: bool, deficit: bool
-) -> StepDistribution:
-    entries = tuple(
-        sorted(acc.items(), key=lambda item: (item[0].positions, item[0].lumped))
-    )
-    return StepDistribution(
-        entries=entries,
-        lump_boundary=boundary,
-        descending=descending,
-        mass_deficit=deficit,
-    )
 
 
 def _walk_landings(
@@ -198,14 +164,18 @@ def _step_distribution(
     boundary: int,
     step: int,
     mutation: Mutation | None,
-) -> StepDistribution:
-    """Shared forward/reversed enumeration; ``step`` fixes the direction."""
-    descending = step < 0
-    acc: dict[LumpedOutcome, Fraction] = {}
+) -> ScaledLaw:
+    """Shared forward/reversed enumeration; ``step`` fixes the direction.
+
+    Mass is added up per (positions, lumped) outcome, then brought over the
+    lcm of its denominators and checked (:meth:`ScaledLaw.check`).
+    ``start`` must already be ordered along ``step``.
+    """
+    acc: dict[State, Fraction] = {}
 
     def record(prefix: tuple[int, ...], lumped: int, prob: Fraction) -> None:
-        outcome = LumpedOutcome(positions=prefix, lumped=lumped)
-        acc[outcome] = acc.get(outcome, Fraction(0)) + prob
+        key = (prefix, lumped)
+        acc[key] = acc.get(key, Fraction(0)) + prob
 
     def recurse(
         i: int, prev_landing: int | None, prefix: tuple[int, ...], prob: Fraction
@@ -246,13 +216,17 @@ def _step_distribution(
         record((), len(start), Fraction(1))
     else:
         recurse(0, None, (), Fraction(1))
-    deficit = mutation is Mutation.LANDING_FACTOR
-    return _sorted_entries(acc, boundary, descending, deficit)
+    den = math.lcm(*(p.denominator for p in acc.values()))
+    law = ScaledLaw(
+        den, tuple((key, p.numerator * (den // p.denominator)) for key, p in acc.items())
+    )
+    law.check(boundary, step, mass_deficit=mutation is Mutation.LANDING_FACTOR)
+    return law
 
 
 def forward_step_distribution(
     x: LocationConfig, params: Params, R: int, mutation: Mutation | None = None
-) -> StepDistribution:
+) -> ScaledLaw:
     """Exact one-step law of the forward process, lumped beyond R.
 
     Requires R ≥ max(x) (so every particle is resolved) or every particle
@@ -264,7 +238,7 @@ def forward_step_distribution(
 
 def reversed_step_distribution(
     y: ReversedConfig, params: Params, L: int, mutation: Mutation | None = None
-) -> StepDistribution:
+) -> ScaledLaw:
     """Exact one-step law of the reversed process, lumped below L.
 
     Spatial mirror of :func:`forward_step_distribution`: the rightmost

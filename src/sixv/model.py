@@ -9,9 +9,9 @@ Conventions used throughout the package:
 * A *reversed configuration* is strictly decreasing (rightmost first); the
   reversed process updates from the rightmost particle and jumps left.
 * Every probability on the exact code path is exact: a
-  ``fractions.Fraction``, or inside the t-step engine an integer numerator
-  over a shared integer denominator.  Floats appear only in the Monte Carlo
-  estimator.
+  ``fractions.Fraction`` while a one-step law is enumerated, and an integer
+  numerator over a shared integer denominator in every finished law.
+  Floats appear only in the Monte Carlo estimator.
 
 Parameters are the per-site jump probabilities ``b1`` (probability that an
 unconstrained particle holds still) and ``b2`` (probability of passing
@@ -162,6 +162,8 @@ class Params:
     def from_json_obj(cls, obj: Mapping) -> "Params":
         q = parse_rational(obj["q"])
         if "b2_sites" in obj:
+            if not isinstance(obj["b2_sites"], Mapping):
+                raise ValueError(f"b2_sites must be a JSON object, got {obj['b2_sites']!r}")
             default = parse_rational(obj["b2_default"])
             sites = tuple(
                 sorted((int(k), parse_rational(v)) for k, v in obj["b2_sites"].items())
@@ -210,6 +212,17 @@ def validate_reversed(positions: Iterable[int]) -> ReversedConfig:
     if any(a <= b for a, b in zip(pos, pos[1:])):
         raise ValueError(f"reversed configuration must be strictly decreasing: {pos}")
     return pos
+
+
+def validate_instance(
+    x: Iterable[int], y: Iterable[int]
+) -> tuple[LocationConfig, ReversedConfig]:
+    """Validate a duality instance: x increasing, y decreasing and nonempty."""
+    x = validate_location(x)
+    y = validate_reversed(y)
+    if not y:
+        raise ValueError("y must contain at least one dual particle")
+    return x, y
 
 
 @dataclass(frozen=True)

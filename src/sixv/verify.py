@@ -27,10 +27,10 @@ Case labels over ℓ ≥ 2 (mutually exclusive and total):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from sixv.dynamics import Mutation
 from sixv.duality import (
@@ -42,6 +42,7 @@ from sixv.duality import (
 from sixv.model import (
     Params,
     format_rational,
+    validate_instance,
     validate_location,
     validate_reversed,
 )
@@ -168,10 +169,10 @@ def check_duality(
     mutation: Mutation | None = None,
 ) -> CheckReport:
     """Forward vs reversed expectation of the same functional, exactly."""
-    # the engines validate x and y (and reject bad input) before either is used
+    x = validate_location(x)
+    y = validate_reversed(y)
     lhs = expect_forward(x, y, kind, t, params, mutation=mutation)
     rhs = expect_reversed(x, y, kind, t, params, mutation=mutation)
-    x, y = tuple(x), tuple(y)
     return _checked(
         "duality", x, y, params, t, kind, lhs, rhs, case=_case_label(x, y)
     )
@@ -189,11 +190,8 @@ def check_truncation_invariance(
     lhs/rhs report the forward pair (augmented vs original); the reversed
     pair is compared too and folded into the verdict, with values in detail.
     """
-    x = validate_location(x)
-    y = validate_reversed(y)
+    x, y = validate_instance(x, y)
     extras = validate_location(sorted(extra_right_particles))
-    if not y:
-        raise ValueError("y must contain at least one dual particle")
     top = y[0]
     for p in extras:
         if p <= top:
@@ -230,12 +228,9 @@ def check_lemma_factorization(
     Exactly one variant applies; the other is reported as a skip.  If x_1
     lies strictly above y_k, neither makes sense and that is an error.
     """
-    x = validate_location(x)
-    y = validate_reversed(y)
+    x, y = validate_instance(x, y)
     if not x:
         raise ValueError("x must contain at least one particle")
-    if not y:
-        raise ValueError("y must contain at least one dual particle")
     x1, yk, k = x[0], y[-1], len(y)
     if x1 > yk:
         raise ValueError(
@@ -266,6 +261,10 @@ def check_lemma_factorization(
     return skipped, checked
 
 
+# One side's one-step H expectation, E(x, y), as the case identities use it.
+Engine = Callable[[tuple[int, ...], tuple[int, ...]], Fraction]
+
+
 def check_case_identities(
     x: Sequence[int], y: Sequence[int], params: Params
 ) -> list[CheckReport]:
@@ -279,10 +278,7 @@ def check_case_identities(
     that only factor out for site-independent parameters, so those checks
     skip on inhomogeneous input.
     """
-    x = validate_location(x)
-    y = validate_reversed(y)
-    if not y:
-        raise ValueError("y must contain at least one dual particle")
+    x, y = validate_instance(x, y)
     if len(x) < 2:
         return [
             _skipped(
@@ -301,16 +297,25 @@ def check_case_identities(
     def rev(xs: tuple[int, ...], ys: tuple[int, ...]) -> Fraction:
         return expect_reversed(xs, ys, "H", 1, params)
 
-    lhs_f = fwd(x, y)
-    lhs_r = rev(x, y)
+    def split(name: str, rhs: Callable[[Engine], Fraction]) -> list[CheckReport]:
+        """``name`` on each side: E(x, y) against the combination rhs(E).
+
+        One combination serves both engines, so the forward and reversed
+        right-hand sides always carry the same coefficients.
+        """
+        return [
+            _checked(
+                f"{name}_{side}", x, y, params, 1, "H", engine(x, y), rhs(engine), case
+            )
+            for side, engine in (("forward", fwd), ("reversed", rev))
+        ]
 
     if case == "at_third_or_later":
         # No displayed decomposition for y_k on the third or a later
         # particle; the duality check itself covers these instances.
-        report = check_duality(x, y, "H", 1, params)
         return [
-            replace(
-                report,
+            _checked(
+                "duality", x, y, params, 1, "H", fwd(x, y), rev(x, y), case,
                 detail="no dedicated decomposition; checked via duality directly",
             )
         ]
@@ -318,23 +323,14 @@ def check_case_identities(
     if case == "separated":
         s = sum(1 for p in x if p < yk)  # 0 or 1 here, since y_k < x_2
         xp, xpp = x[:s], x[s:]
-        ypp = y[:-1]
         coeff = q ** (-s * (k - 1))
-        rhs_f = coeff * fwd(xp, (yk,)) * fwd(xpp, ypp)
-        rhs_r = coeff * rev(xp, (yk,)) * rev(xpp, ypp)
-        return [
-            _checked("separated_split_forward", x, y, params, 1, "H", lhs_f, rhs_f, case),
-            _checked("separated_split_reversed", x, y, params, 1, "H", lhs_r, rhs_r, case),
-        ]
+        return split(
+            "separated_split", lambda e: coeff * e(xp, (yk,)) * e(xpp, y[:-1])
+        )
 
     if case == "at_first":
         coeff = q ** (-k) * params.b1_at(x[0])
-        rhs_f = coeff * fwd(x[1:], y[:-1])
-        rhs_r = coeff * rev(x[1:], y[:-1])
-        return [
-            _checked("first_site_peel_forward", x, y, params, 1, "H", lhs_f, rhs_f, case),
-            _checked("first_site_peel_reversed", x, y, params, 1, "H", lhs_r, rhs_r, case),
-        ]
+        return split("first_site_peel", lambda e: coeff * e(x[1:], y[:-1]))
 
     # The remaining decompositions mix b1, b2 across different sites; their
     # closed-form coefficients exist only when the parameters are uniform.
@@ -352,32 +348,26 @@ def check_case_identities(
         xp, xpp, yp = x[1:], x[2:], y[:-1]
         gap = b2 ** (x[1] - x[0] - 1)
         cross = b1 * b2 - b1 - b2
-        l1, l2, l3 = fwd(xp, y), fwd(xp, yp), fwd(xpp, yp)
-        r1, r2, r3 = rev(xp, y), rev(xp, yp), rev(xpp, yp)
-        rhs_f = q ** (-k) * l1 + gap * (q ** (-k) * l2 + q ** (-(2 * k - 1)) * cross * l3)
-        rhs_r = q ** (-k) * r1 + gap * (q ** (-k) * r2 + q ** (-(2 * k - 1)) * cross * r3)
-        link_lhs = l1
-        link_rhs = b1 * q ** (-k) * l3
-        return [
-            _checked("second_site_split_forward", x, y, params, 1, "H", lhs_f, rhs_f, case),
-            _checked("second_site_split_reversed", x, y, params, 1, "H", lhs_r, rhs_r, case),
-            _checked(
-                "second_site_link", x, y, params, 1, "H", link_lhs, link_rhs, case,
-                detail="first sub-expectation ties to the two-particle-deep one",
-            ),
-        ]
+        reports = split(
+            "second_site_split",
+            lambda e: q ** (-k) * e(xp, y)
+            + gap * (q ** (-k) * e(xp, yp) + q ** (-(2 * k - 1)) * cross * e(xpp, yp)),
+        )
+        link = _checked(
+            "second_site_link", x, y, params, 1, "H",
+            fwd(xp, y), b1 * q ** (-k) * fwd(xpp, yp), case,
+            detail="first sub-expectation ties to the two-particle-deep one",
+        )
+        return reports + [link]
 
     # above_second
     xp, xpp = x[1:], x[2:]
     gap = b2 ** (x[1] - x[0])
-    l1, l2 = fwd(xp, y), fwd(xpp, y)
-    r1, r2 = rev(xp, y), rev(xpp, y)
-    rhs_f = q ** (-k) * l1 + q ** (-(k - 1)) * gap * (l1 - q ** (-k) * l2)
-    rhs_r = q ** (-k) * r1 + q ** (-(k - 1)) * gap * (r1 - q ** (-k) * r2)
-    return [
-        _checked("above_second_split_forward", x, y, params, 1, "H", lhs_f, rhs_f, case),
-        _checked("above_second_split_reversed", x, y, params, 1, "H", lhs_r, rhs_r, case),
-    ]
+    return split(
+        "above_second_split",
+        lambda e: q ** (-k) * e(xp, y)
+        + q ** (-(k - 1)) * gap * (e(xp, y) - q ** (-k) * e(xpp, y)),
+    )
 
 
 # --- sweeps ---------------------------------------------------------------------

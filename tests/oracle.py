@@ -249,9 +249,10 @@ def oracle_t_step_expectation(
     for _ in range(t):
         composed: dict[tuple[tuple[int, ...], int], Fraction] = {}
         for (positions, lumped), prob in law.items():
-            for outcome, p in step(positions, params, boundary, mutation).entries:
-                key = (outcome.positions, lumped + outcome.lumped)
-                composed[key] = composed.get(key, Fraction(0)) + prob * p
+            one = step(positions, params, boundary, mutation)
+            for (moved, more), num in one.entries:
+                key = (moved, lumped + more)
+                composed[key] = composed.get(key, Fraction(0)) + prob * Fraction(num, one.den)
         law = composed
     total = Fraction(0)
     for (positions, lumped), prob in law.items():

@@ -198,10 +198,11 @@ def _spec_text(**overrides) -> str:
         _spec_text(window=[0.5, 2]),
         _spec_text(kinds="HG"),
         _spec_text(max_ell=2.5),
+        _spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": ["0"]}]),
     ],
     ids=[
         "not-json", "json-list", "string-window", "float-window", "string-kinds",
-        "float-max-ell",
+        "float-max-ell", "list-b2-sites",
     ],
 )
 def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text):

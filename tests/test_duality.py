@@ -216,16 +216,17 @@ def _mass(law):
 def test_scaled_laws_keep_their_mass_in_lowest_terms(sites, t, params, reverse, slack):
     positions = tuple(sorted(sites, reverse=reverse))
     boundary = min(sites) - slack if reverse else max(sites) + slack
-    step = _reversed_entries if reverse else _forward_entries
+    one_step = _reversed_entries if reverse else _forward_entries
+    direction = -1 if reverse else +1
     for law in (
-        step(positions, params, boundary, None),
-        _evolve((positions, 0), params, boundary, t, None, reverse),
+        one_step(positions, params, boundary, None),
+        _evolve((positions, 0), params, boundary, t, None, direction),
     ):
         assert _mass(law) == law.den
         assert math.gcd(law.den, *(num for _, num in law.entries)) == 1
     leaky = (
-        step(positions, params, boundary, Mutation.LANDING_FACTOR),
-        _evolve((positions, 0), params, boundary, t, Mutation.LANDING_FACTOR, reverse),
+        one_step(positions, params, boundary, Mutation.LANDING_FACTOR),
+        _evolve((positions, 0), params, boundary, t, Mutation.LANDING_FACTOR, direction),
     )
     for law in leaky:
         # a pushed particle with a neighbour ahead loses mass on its
@@ -234,6 +235,16 @@ def test_scaled_laws_keep_their_mass_in_lowest_terms(sites, t, params, reverse, 
             assert _mass(law) < law.den
         else:
             assert _mass(law) == law.den
+
+
+def test_a_thousand_steps_compose_without_recursion():
+    # one particle at 0 below the dual point 1: it must hold until some step
+    # s, land on 1 with (1 - b1)(1 - b2), then hold t - s - 1 more times, so
+    # E = q^(-1) * t (1 - b1)(1 - b2) b1^(t - 1)
+    t = 1000
+    expected = Fraction(1, 2) * t * Fraction(1, 2) * Fraction(3, 4) / 2 ** (t - 1)
+    assert expect_forward((0,), (1,), "H", t, P_HALF_QUARTER) == expected
+    assert expect_reversed((0,), (1,), "H", t, P_HALF_QUARTER) == expected
 
 
 # --- exact engines: structure ----------------------------------------------------
@@ -255,8 +266,9 @@ def test_two_steps_compose_from_one(x, y, kind, params):
     # the second; particles lumped past y_1 can never touch the functional
     r = max(y[0], x[-1])
     total = Fraction(0)
-    for outcome, prob in forward_step_distribution(x, params, r).entries:
-        total += prob * expect_forward(outcome.positions, y, kind, 1, params)
+    law = forward_step_distribution(x, params, r)
+    for (positions, _lumped), num in law.entries:
+        total += Fraction(num, law.den) * expect_forward(positions, y, kind, 1, params)
     assert expect_forward(x, y, kind, 2, params) == total
 
 
@@ -274,10 +286,11 @@ def test_two_steps_compose_from_one(x, y, kind, params):
 def test_two_reversed_steps_compose_from_one(x, y, kind, params):
     length = min(y[-1], x[0])
     total = Fraction(0)
-    for outcome, prob in reversed_step_distribution(y, params, length).entries:
-        if outcome.lumped and kind == "H":
+    law = reversed_step_distribution(y, params, length)
+    for (positions, lumped), num in law.entries:
+        if lumped and kind == "H":
             continue  # dual points below x_1 stay there; H is dead
-        total += prob * expect_reversed(x, outcome.positions, kind, 1, params)
+        total += Fraction(num, law.den) * expect_reversed(x, positions, kind, 1, params)
     assert expect_reversed(x, y, kind, 2, params) == total
 
 

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 import oracle
 from sixv.dynamics import (
-    LumpedOutcome,
     Mutation,
-    StepDistribution,
+    ScaledLaw,
     forward_step_distribution,
     one_particle_kernel,
     reversed_step_distribution,
@@ -21,8 +20,12 @@ from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
 P_HALF_QUARTER = Params.from_b1_b2("1/2", "1/4")
 
 
-def entries_dict(dist: StepDistribution) -> dict[tuple[tuple[int, ...], int], Fraction]:
-    return {(o.positions, o.lumped): p for o, p in dist.entries}
+def entries_dict(dist: ScaledLaw) -> dict[tuple[tuple[int, ...], int], Fraction]:
+    return {state: Fraction(num, dist.den) for state, num in dist.entries}
+
+
+def total_mass(dist: ScaledLaw) -> Fraction:
+    return Fraction(sum(num for _, num in dist.entries), dist.den)
 
 
 locations = st.lists(st.integers(-4, 8), unique=True, min_size=0, max_size=4).map(
@@ -123,9 +126,8 @@ def test_forward_matches_bruteforce_oracle(x, params, slack):
 def test_forward_mass_and_exclusion(x, params, slack):
     r = (max(x) if x else 0) + slack
     dist = forward_step_distribution(x, params, r)
-    assert dist.total_mass() == 1
-    for outcome, _ in dist.entries:
-        moved = outcome.positions
+    assert total_mass(dist) == 1
+    for (moved, _lumped), _ in dist.entries:
         assert all(a < b for a, b in zip(moved, moved[1:]))
         for old, new in zip(x, moved):
             assert new >= old  # never left
@@ -140,8 +142,7 @@ def test_lumping_coarsens_consistently(x, params, slack, extra):
     fine = forward_step_distribution(x, params, r + extra)
     coarse = forward_step_distribution(x, params, r)
     folded: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for outcome, p in fine.entries:
-        pos, lumped = outcome.positions, outcome.lumped
+    for (pos, lumped), p in entries_dict(fine).items():
         if pos and pos[-1] > r:
             pos, lumped = pos[:-1], lumped + 1
         key = (pos, lumped)
@@ -208,9 +209,8 @@ def test_reversed_mass_and_exclusion(ys, params, slack):
     y = tuple(sorted(ys, reverse=True))
     boundary = min(y) - slack
     dist = reversed_step_distribution(y, params, boundary)
-    assert dist.total_mass() == 1
-    for outcome, _ in dist.entries:
-        moved = outcome.positions
+    assert total_mass(dist) == 1
+    for (moved, _lumped), _ in dist.entries:
         assert all(a > b for a, b in zip(moved, moved[1:]))
         for old, new in zip(y, moved):
             assert new <= old  # never right
@@ -241,8 +241,8 @@ def test_landing_factor_mutation_leaks_mass():
     hurt = forward_step_distribution(
         (0, 1, 3), P_HALF_QUARTER, R=3, mutation=Mutation.LANDING_FACTOR
     )
-    assert clean.total_mass() == 1
-    assert hurt.total_mass() < 1
+    assert total_mass(clean) == 1
+    assert total_mass(hurt) < 1
 
 
 def test_push_trigger_mutation_changes_law():
@@ -250,7 +250,7 @@ def test_push_trigger_mutation_changes_law():
     hurt = forward_step_distribution(
         (0, 2), P_HALF_QUARTER, R=3, mutation=Mutation.PUSH_TRIGGER
     )
-    assert hurt.total_mass() == 1  # still a distribution, just the wrong one
+    assert total_mass(hurt) == 1  # still a distribution, just the wrong one
     assert entries_dict(hurt) != entries_dict(clean)
     # concretely: after the first particle lands interior on 1, the second is
     # wrongly denied its hold branch, so the (1, 2) outcome disappears.
@@ -258,34 +258,32 @@ def test_push_trigger_mutation_changes_law():
     assert ((1, 2), 0) not in entries_dict(hurt)
 
 
-# --- StepDistribution type ------------------------------------------------------
+# --- the integer law check -----------------------------------------------------
 
 
 def test_step_distribution_rejects_bad_totals_and_duplicates():
-    half = Fraction(1, 2)
-    with pytest.raises(ValueError):
-        StepDistribution(
-            entries=((LumpedOutcome((0,)), half),), lump_boundary=3
-        )
-    with pytest.raises(ValueError):
-        StepDistribution(
-            entries=((LumpedOutcome((0,)), half), (LumpedOutcome((0,)), half)),
-            lump_boundary=3,
-        )
-    with pytest.raises(ValueError):
-        StepDistribution(
-            entries=((LumpedOutcome((5,)), Fraction(1)),), lump_boundary=3
-        )
-
-
-def test_step_distribution_json_shape():
-    dist = forward_step_distribution((0,), P_HALF_QUARTER, R=2)
-    assert dist.to_json_obj() == [
-        {"positions": [], "lumped": 1, "prob": "1/32"},
-        {"positions": [0], "lumped": 0, "prob": "1/2"},
-        {"positions": [1], "lumped": 0, "prob": "3/8"},
-        {"positions": [2], "lumped": 0, "prob": "3/32"},
+    # each defect the enumeration rules out, fed to the integer check of a law
+    # lumped at 3 (forward, +1) or at 0 (reversed, -1)
+    defects = [
+        (ScaledLaw(2, ((((0,), 0), 2), (((1,), 0), 0))), +1, False),  # zero mass
+        (ScaledLaw(2, ((((0,), 0), 3), (((1,), 0), -1))), +1, False),  # negative
+        (ScaledLaw(2, ((((0,), 0), 1), (((0,), 0), 1))), +1, False),  # duplicate
+        (ScaledLaw(1, ((((2, 1), 0), 1),)), +1, False),  # out of order
+        (ScaledLaw(1, ((((1, 2), 0), 1),)), -1, False),  # out of order, mirrored
+        (ScaledLaw(1, ((((5,), 0), 1),)), +1, False),  # resolved past R
+        (ScaledLaw(1, ((((-1,), 0), 1),)), -1, False),  # resolved past L
+        (ScaledLaw(1, ((((0,), -1), 1),)), +1, False),  # negative lumped count
+        (ScaledLaw(2, ((((0,), 0), 1),)), +1, False),  # total below den
+        (ScaledLaw(2, ((((0,), 0), 3),)), +1, True),  # above den, even leaking
+        (ScaledLaw(0, ()), +1, False),  # no denominator
     ]
+    for law, step, deficit in defects:
+        with pytest.raises(ValueError):
+            law.check(3 if step > 0 else 0, step, mass_deficit=deficit)
+    # the same shapes without their defect pass
+    ScaledLaw(2, ((((0,), 0), 1), (((1,), 0), 1))).check(3, +1)
+    ScaledLaw(2, ((((2, 1), 0), 1), (((), 2), 1))).check(0, -1)
+    ScaledLaw(2, ((((0,), 0), 1),)).check(3, +1, mass_deficit=True)
 
 
 # --- samplers --------------------------------------------------------------------

@@ -6,7 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixv.dynamics import Mutation
+from sixv.duality import (
+    _evolve,
+    _forward_entries,
+    _reversed_entries,
+    exact_expectation_forward,
+    exact_expectation_reversed,
+    mc_expectation,
+)
+from sixv.dynamics import (
+    Mutation,
+    forward_step_distribution,
+    reversed_step_distribution,
+)
 from sixv.model import STANDARD_PARAMS, Params
 from sixv.verify import (
     CheckReport,
@@ -414,3 +426,76 @@ def test_site_dependent_sweep_reports_failures_with_a_witness():
     witness = result.failures[0]
     assert witness.verdict == "fail"
     assert witness.lhs != witness.rhs
+
+
+# --- input validation at the public entry points -------------------------------------
+
+GOOD_X, GOOD_Y = (0, 2, 3), (3, 1)
+BAD = {
+    "x": {"unsorted": (2, 0, 3), "repeated": (0, 0, 3), "bool": (0, True, 3)},
+    "y": {"unsorted": (1, 3), "repeated": (3, 3), "bool": (3, True)},
+}
+# name -> (call on (x, y), the configurations it reads)
+ENTRY_POINTS = {
+    "check_duality": (lambda x, y: check_duality(x, y, "H", 1, P_HALF_QUARTER), "xy"),
+    "exact_expectation_forward": (
+        lambda x, y: exact_expectation_forward(x, y, "H", 1, P_HALF_QUARTER), "xy"
+    ),
+    "exact_expectation_reversed": (
+        lambda x, y: exact_expectation_reversed(x, y, "H", 1, P_HALF_QUARTER), "xy"
+    ),
+    "mc_expectation": (
+        lambda x, y: mc_expectation("forward", x, y, "H", 1, P_HALF_QUARTER, 1, 1), "xy"
+    ),
+    "check_truncation_invariance": (
+        lambda x, y: check_truncation_invariance(x, y, (5,), "H", P_HALF_QUARTER), "xy"
+    ),
+    "check_lemma_factorization": (
+        lambda x, y: check_lemma_factorization(x, y, P_HALF_QUARTER), "xy"
+    ),
+    "check_case_identities": (
+        lambda x, y: check_case_identities(x, y, P_HALF_QUARTER), "xy"
+    ),
+    "classify_case": (classify_case, "xy"),
+    "forward_step_distribution": (
+        lambda x, y: forward_step_distribution(x, P_HALF_QUARTER, 3), "x"
+    ),
+    "reversed_step_distribution": (
+        lambda x, y: reversed_step_distribution(y, P_HALF_QUARTER, 1), "y"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,side,defect",
+    [
+        (entry, side, defect)
+        for entry, (_, sides) in ENTRY_POINTS.items()
+        for side in sides
+        for defect in ("unsorted", "repeated", "bool")
+    ],
+)
+def test_public_entry_points_reject_malformed_configurations(entry, side, defect):
+    # the engines behind these entry points no longer check their input
+    call, _ = ENTRY_POINTS[entry]
+    call(GOOD_X, GOOD_Y)
+    x = BAD["x"][defect] if side == "x" else GOOD_X
+    y = BAD["y"][defect] if side == "y" else GOOD_Y
+    with pytest.raises(ValueError, match="strictly (in|de)creasing|must be ints"):
+        call(x, y)
+
+
+def test_inverted_q_reuses_the_clean_laws():
+    # INVERTED_Q changes only the q of the contraction, so a run of it after
+    # a clean run of the same instances builds no step law or t-step law
+    spec = SweepSpec(
+        max_ell=2, max_k=2, window=(0, 3), t_range=(1, 2),
+        params_list=(P_HALF_QUARTER,), kinds=("H", "G", "D"),
+    )
+    caches = (_evolve, _forward_entries, _reversed_entries)
+    clean = run_sweep(spec)
+    misses = [cache.cache_info().misses for cache in caches]
+    inverted = run_sweep(spec, mutation=Mutation.INVERTED_Q)
+    assert [cache.cache_info().misses for cache in caches] == misses
+    assert not clean.failures
+    assert inverted.failures
