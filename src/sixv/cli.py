@@ -24,22 +24,11 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from sixv.dynamics import (
-    Mutation,
-    sample_forward_step,
-    sample_reversed_step,
-    trajectory_rng,
-)
+from sixv.dynamics import Mutation, _sample_step, trajectory_rng
 from sixv.duality import mc_expectation
-from sixv.model import (
-    Params,
-    parse_rational,
-    validate_location,
-    validate_reversed,
-)
+from sixv.model import Params, validate_location, validate_reversed
 from sixv.verify import (
     SweepSpec,
     check_case_identities,
@@ -76,31 +65,18 @@ def _parse_positions(text: str, *, descending: bool, flag: str) -> tuple[int, ..
         raise CliError(f"{flag}: {exc}")
 
 
-def _load_b2_sites(path: str) -> tuple[tuple[int, Fraction], ...]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read --b2-sites file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"--b2-sites file is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise CliError("--b2-sites file must be a JSON object of site -> rational")
-    sites = []
-    for key, value in raw.items():
-        try:
-            sites.append((int(key), parse_rational(value)))
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"--b2-sites entry {key!r}: {exc}")
-    return tuple(sites)
-
-
 def _params_from_args(ns: argparse.Namespace) -> Params:
+    obj = {"q": ns.q, "b2": ns.b2}
+    if ns.b2_sites:
+        try:
+            with open(ns.b2_sites, encoding="utf-8") as handle:
+                obj = {"q": ns.q, "b2_default": ns.b2, "b2_sites": json.load(handle)}
+        except OSError as exc:
+            raise CliError(f"cannot read --b2-sites file: {exc}")
+        except json.JSONDecodeError as exc:
+            raise CliError(f"--b2-sites file is not valid JSON: {exc}")
     try:
-        q = parse_rational(ns.q)
-        b2 = parse_rational(ns.b2)
-        sites = _load_b2_sites(ns.b2_sites) if ns.b2_sites else ()
-        return Params(q=q, b2=b2, b2_sites=sites)
+        return Params.from_json_obj(obj)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -194,17 +170,15 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         raise CliError("--t must be >= 0")
     params = _params_from_args(ns)
     if ns.x is not None:
-        side = "forward"
+        side, step = "forward", +1
         current = _parse_positions(ns.x, descending=False, flag="--x")
-        stepper: Callable = sample_forward_step
     else:
-        side = "reversed"
+        side, step = "reversed", -1
         current = _parse_positions(ns.y, descending=True, flag="--y")
-        stepper = sample_reversed_step
     rng = trajectory_rng(ns.seed, 0)
     rows = [current]
     for _ in range(ns.t):
-        current = stepper(current, params, rng)
+        current = _sample_step(current, params, step, rng)
         rows.append(current)
     if ns.format == "json":
         payload = {"side": side, "seed": ns.seed, "steps": [list(r) for r in rows]}

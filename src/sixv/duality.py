@@ -1,13 +1,15 @@
 """Duality functionals and the exact / Monte Carlo expectation engines.
 
-The three functionals on an occupation configuration g at dual points
+The three functionals of particles at sorted positions x and dual points
 y_1 > ... > y_k (q is the asymmetry ratio b1/b2):
 
-    H(g, y) = prod_i g_{y_i} * q^(-N_{y_i}(g))
-    G(g, y) = prod_i           q^(-N_{y_i}(g))
-    D(g, y) = prod_i (1 - g_{y_i}) * q^(-N_{y_i}(g))
+    H(x, y) = prod_i 1{y_i in x} * q^(-N_{y_i}(x))
+    G(x, y) = prod_i               q^(-N_{y_i}(x))
+    D(x, y) = prod_i 1{y_i not in x} * q^(-N_{y_i}(x))
 
-with N_s(g) the number of particles at or left of s.
+with N_s(x) the number of particles at or left of s.  Configurations are
+position tuples only; the occupation indicator and the height are read off
+x by bisection.
 
 One engine serves both sides of the duality.  The forward side moves the
 particles x against fixed dual points y; the reversed side moves y against
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,11 +55,10 @@ from sixv.dynamics import (
 )
 from sixv.model import (
     LocationConfig,
-    OccupationConfig,
     Params,
     ReversedConfig,
-    format_rational,
     validate_instance,
+    validate_location,
     validate_reversed,
 )
 
@@ -91,23 +92,15 @@ def _oriented(
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """Either an exact rational value or a Monte Carlo (mean, stderr, n, seed)."""
+    """A Monte Carlo estimate: mean, standard error, sample count and seed."""
 
-    value: Fraction | None = None
-    mean: float | None = None
-    stderr: float | None = None
-    n: int | None = None
-    seed: int | None = None
+    mean: float
+    stderr: float
+    n: int
+    seed: int
 
     def to_json_obj(self) -> dict:
-        if self.value is not None:
-            return {"value": format_rational(self.value)}
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n": self.n,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # --- functionals ---------------------------------------------------------------
@@ -140,21 +133,11 @@ def _functional_at_points(
 
 
 def eval_functional(
-    kind: str, g: OccupationConfig, y: ReversedConfig, q: Fraction
+    kind: str, x: LocationConfig, y: ReversedConfig, q: Fraction
 ) -> Fraction:
-    """Exact value of the ``kind`` functional of g at the dual points y.
-
-    Every y_i must lie inside g's window; particles lumped in
-    ``escaped_right`` sit strictly right of the window and therefore neither
-    occupy any y_i nor count toward any height there.
-    """
+    """Exact value of the ``kind`` functional of particles x at the dual points y."""
     _require_kind(kind)
-    y = validate_reversed(y)
-    for site in y:
-        if not (g.lo <= site <= g.hi):
-            raise ValueError(f"dual point {site} outside the window [{g.lo}, {g.hi}]")
-    particles = tuple(g.lo + i for i, bit in enumerate(g.bits) if bit)
-    return _functional_at_points(kind, particles, y, q)
+    return _functional_at_points(kind, validate_location(x), validate_reversed(y), q)
 
 
 def _contract(
@@ -354,18 +337,18 @@ def expect_one_step_held(
 
 def exact_expectation_forward(
     x: LocationConfig, y: ReversedConfig, kind: str, t: int, params: Params
-) -> ExpectationResult:
+) -> Fraction:
     """E^x[kind(x(t), y)], exact; y must carry at least one dual particle."""
     x, y = validate_instance(x, y)
-    return ExpectationResult(value=expect_forward(x, y, kind, t, params))
+    return expect_forward(x, y, kind, t, params)
 
 
 def exact_expectation_reversed(
     x: LocationConfig, y: ReversedConfig, kind: str, t: int, params: Params
-) -> ExpectationResult:
+) -> Fraction:
     """E^y[kind(x, y(t))], exact; mirror engine with lump boundary x_1."""
     x, y = validate_instance(x, y)
-    return ExpectationResult(value=expect_reversed(x, y, kind, t, params))
+    return expect_reversed(x, y, kind, t, params)
 
 
 def mc_expectation(

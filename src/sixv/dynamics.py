@@ -107,23 +107,6 @@ class ScaledLaw(NamedTuple):
             raise ValueError(f"numerators sum to {total}, not den = {self.den}")
 
 
-def one_particle_kernel(x: int, y: int, params: Params) -> Fraction:
-    """Transition probability of a lone forward particle from x to y.
-
-    b1 to hold; to land at y > x, depart (1-b1), pass each intermediate site
-    with its b2, and stop with (1-b2) at y.  Homogeneous case reduces to
-    (1-b1)(1-b2) b2^(y-x-1).
-    """
-    if y < x:
-        return Fraction(0)
-    if y == x:
-        return params.b1_at(x)
-    prob = 1 - params.b1_at(x)
-    for site in range(x + 1, y):
-        prob *= params.b2_at(site)
-    return prob * (1 - params.b2_at(y))
-
-
 def _walk_landings(
     u: int,
     cap: int | None,
@@ -222,6 +205,17 @@ def _step_distribution(
     )
     law.check(boundary, step, mass_deficit=mutation is Mutation.LANDING_FACTOR)
     return law
+
+
+def one_particle_kernel(x: int, y: int, params: Params) -> Fraction:
+    """Transition probability of a lone forward particle from x to y.
+
+    The resolved entry at y of the one-step law lumped beyond y, so 0 for
+    y < x; in the homogeneous case it is b1 at y = x and
+    (1-b1)(1-b2) b2^(y-x-1) past it.
+    """
+    law = _step_distribution((x,), params, y, +1, None)
+    return Fraction(dict(law.entries).get(((y,), 0), 0), law.den)
 
 
 def forward_step_distribution(

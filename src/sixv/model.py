@@ -8,6 +8,9 @@ Conventions used throughout the package:
   leftmost particle onward and particles only ever jump right.
 * A *reversed configuration* is strictly decreasing (rightmost first); the
   reversed process updates from the rightmost particle and jumps left.
+* These position tuples are the only configuration type: occupations and
+  heights are read off them where a functional needs them
+  (:mod:`sixv.duality`).
 * Every probability on the exact code path is exact: a
   ``fractions.Fraction`` while a one-step law is enumerated, and an integer
   numerator over a shared integer denominator in every finished law.
@@ -52,8 +55,30 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``num/den`` with the denominator always spelled out."""
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as ``num/den`` with the denominator always spelled out.
+
+    Values past the interpreter's int-to-str digit limit are still printed
+    in full; the limit itself stays in force for parsing input.
+    """
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int, width: int = 0) -> str:
+    """str(n) zero-padded to ``width``, built from pieces short enough for str().
+
+    Splitting at a power of ten near half the digits keeps every piece under
+    640 digits, the lowest limit the interpreter can be set to.
+    """
+    if n < 0:
+        return "-" + _decimal(-n, width)
+    if n.bit_length() < 1700:  # at most 512 digits
+        return str(n).zfill(width)
+    half = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**half)
+    return _decimal(high, width - half) + _decimal(low, half)
 
 
 def _check_prob_open(name: str, value: Fraction) -> None:
@@ -86,7 +111,7 @@ class Params:
         _check_prob_open("b1 = q*b2", self.q * self.b2)
         seen: set[int] = set()
         for site, value in self.b2_sites:
-            if not isinstance(site, int):
+            if not isinstance(site, int) or isinstance(site, bool):
                 raise ValueError(f"b2_sites keys must be ints, got {site!r}")
             if site in seen:
                 raise ValueError(f"duplicate b2 override for site {site}")
@@ -223,88 +248,6 @@ def validate_instance(
     if not y:
         raise ValueError("y must contain at least one dual particle")
     return x, y
-
-
-@dataclass(frozen=True)
-class OccupationConfig:
-    """Occupation variables g on a finite window [lo, hi].
-
-    ``bits[i]`` is the occupancy of site ``lo + i``.  Particles that have
-    left the window to the right are only counted, not placed; the total
-    particle number is preserved by construction.
-    """
-
-    lo: int
-    hi: int
-    bits: tuple[int, ...]
-    escaped_right: int = 0
-
-    def __post_init__(self) -> None:
-        if self.hi < self.lo - 1:
-            raise ValueError(f"bad window [{self.lo}, {self.hi}]")
-        if len(self.bits) != self.hi - self.lo + 1:
-            raise ValueError(
-                f"window [{self.lo}, {self.hi}] needs {self.hi - self.lo + 1} bits, "
-                f"got {len(self.bits)}"
-            )
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("occupancies must be 0 or 1")
-        if self.escaped_right < 0:
-            raise ValueError("escaped_right must be >= 0")
-
-    def occupancy(self, site: int) -> int:
-        """g at ``site``; sites left of the window are empty, right is an error."""
-        if site > self.hi:
-            raise ValueError(
-                f"site {site} lies right of the window [{self.lo}, {self.hi}]; "
-                "occupancy there is not tracked"
-            )
-        if site < self.lo:
-            return 0
-        return self.bits[site - self.lo]
-
-    def particle_count(self) -> int:
-        return sum(self.bits) + self.escaped_right
-
-
-def to_occupation(x: LocationConfig, lo: int, hi: int) -> OccupationConfig:
-    """Project a location configuration onto the window [lo, hi].
-
-    Particles right of ``hi`` fold into ``escaped_right``; a particle left
-    of ``lo`` is an error (its position can no longer be represented).
-    """
-    x = validate_location(x)
-    bits = [0] * (hi - lo + 1)
-    escaped = 0
-    for p in x:
-        if p < lo:
-            raise ValueError(f"particle at {p} lies left of the window [{lo}, {hi}]")
-        if p > hi:
-            escaped += 1
-        else:
-            bits[p - lo] = 1
-    return OccupationConfig(lo=lo, hi=hi, bits=tuple(bits), escaped_right=escaped)
-
-
-def to_location(g: OccupationConfig) -> LocationConfig:
-    """Inverse of :func:`to_occupation`; undefined once particles escaped."""
-    if g.escaped_right > 0:
-        raise ValueError(
-            f"{g.escaped_right} particle(s) escaped right of the window; "
-            "their positions are unknown"
-        )
-    return tuple(g.lo + i for i, b in enumerate(g.bits) if b)
-
-
-def height(g: OccupationConfig, site: int) -> int:
-    """Number of particles at or left of ``site``: N_site = sum_{i <= site} g_i."""
-    if site > g.hi:
-        raise ValueError(
-            f"height at {site} is not determined by the window [{g.lo}, {g.hi}]"
-        )
-    if site < g.lo:
-        return 0
-    return sum(g.bits[: site - g.lo + 1])
 
 
 class VertexType(Enum):

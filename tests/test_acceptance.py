@@ -281,10 +281,10 @@ def test_criterion_09_site_dependent_parameters_reported_with_witness():
 def test_criterion_10_desk_scale_worked_values():
     p = STANDARD_PARAMS[0]
     values = (
-        exact_expectation_forward((0,), (0,), "H", 1, p).value,
-        exact_expectation_reversed((0,), (0,), "H", 1, p).value,
-        exact_expectation_forward((0,), (1,), "H", 1, p).value,
-        exact_expectation_reversed((0,), (1,), "H", 1, p).value,
+        exact_expectation_forward((0,), (0,), "H", 1, p),
+        exact_expectation_reversed((0,), (0,), "H", 1, p),
+        exact_expectation_forward((0,), (1,), "H", 1, p),
+        exact_expectation_reversed((0,), (1,), "H", 1, p),
     )
     ok = values == (Fraction(1, 4), Fraction(1, 4), Fraction(3, 16), Fraction(3, 16))
     _record(

@@ -1,12 +1,14 @@
 """End-to-end tests of the command line interface (driven through main)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+import sixv
 from sixv.cli import main
 from sixv.model import Params
-from sixv.verify import SweepSpec, run_sweep
+from sixv.verify import SweepSpec, check_duality, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +96,18 @@ def test_check_writes_to_a_file_when_asked(capsys, tmp_path):
     assert report["verdict"] == "pass"
 
 
+def test_check_prints_values_past_the_digit_limit(capsys):
+    # both sides carry denominators of about 4,500 digits at t = 1500
+    code, out, err = run_cli(
+        capsys, "check", "--x", "0", "--y", "1", "--q", "2", "--b2", "1/997",
+        "--t", "1500",
+    )
+    assert (code, err) == (0, "")
+    (report,) = [json.loads(line) for line in out.splitlines()]
+    assert report["verdict"] == "pass"
+    assert len(report["lhs"]) > 4300
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -111,6 +125,59 @@ def test_check_rejects_malformed_input(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err.lower()
+
+
+# --- --b2-sites ------------------------------------------------------------------
+
+
+def _b2_sites_file(tmp_path, text: str) -> str:
+    path = tmp_path / "b2_sites.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_b2_sites_file_gives_the_library_report(capsys, tmp_path):
+    path = _b2_sites_file(tmp_path, json.dumps({"0": "1/3", "2": "1/2"}))
+    code, out, _ = run_cli(
+        capsys, "check", "--x", "0,1", "--y", "2", "--kind", "G", "--t", "2",
+        "--q", "1/2", "--b2", "1/4", "--b2-sites", path,
+    )
+    params = Params(
+        q=Fraction(1, 2), b2=Fraction(1, 4),
+        b2_sites=((0, Fraction(1, 3)), (2, Fraction(1, 2))),
+    )
+    expected = check_duality((0, 1), (2,), "G", 2, params).to_json_obj()
+    assert code == (1 if expected["verdict"] == "fail" else 0)
+    assert [json.loads(line) for line in out.splitlines()] == [
+        json.loads(json.dumps(expected))
+    ]
+    assert expected["params"]["b2_sites"] == {"0": "1/3", "2": "1/2"}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        "{not json",
+        json.dumps(["0", "1/3"]),
+        json.dumps({"a": "1/3"}),
+        json.dumps({"0": 0.25}),
+        json.dumps({"0": "3/2"}),
+        '{"0": "1/3", "00": "1/2"}',
+    ],
+    ids=[
+        "missing-file", "not-json", "json-list", "non-int-key", "float-value",
+        "out-of-range-value", "duplicate-site",
+    ],
+)
+def test_b2_sites_file_rejects_bad_input(capsys, tmp_path, text):
+    if text is None:
+        path = str(tmp_path / "absent.json")
+    else:
+        path = _b2_sites_file(tmp_path, text)
+    code, _, err = run_cli(capsys, "check", "--x", "0", "--y", "1", "--b2-sites", path)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 # --- sweep -----------------------------------------------------------------------
@@ -228,6 +295,24 @@ def test_simulate_golden_forward_trajectory(capsys):
         "2,2,3,6\n"
         "3,3,4,7\n"
     )
+
+
+def test_simulate_validates_the_start_once(capsys, monkeypatch):
+    calls = []
+    real = sixv.model.validate_location
+
+    def counted(positions):
+        calls.append(positions)
+        return real(positions)
+
+    # every module that holds the name, so a call through any alias counts
+    for module in (sixv, sixv.model, sixv.cli, sixv.dynamics, sixv.duality, sixv.verify):
+        if getattr(module, "validate_location", None) is real:
+            monkeypatch.setattr(module, "validate_location", counted)
+    code, out, _ = run_cli(capsys, "simulate", "--x", "0,2,5", "--t", "50", "--seed", "7")
+    assert code == 0
+    assert len(out.splitlines()) == 52
+    assert len(calls) <= 1
 
 
 def test_simulate_zero_steps_echoes_the_start(capsys):

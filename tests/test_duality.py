@@ -26,13 +26,7 @@ from sixv.duality import (
     expect_reversed,
     mc_expectation,
 )
-from sixv.model import (
-    STANDARD_PARAMS,
-    OccupationConfig,
-    Params,
-    cycled_inhom_params,
-    to_occupation,
-)
+from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
 
 P_HALF_QUARTER = Params.from_b1_b2("1/2", "1/4")  # q = 2
 
@@ -50,40 +44,33 @@ param_choices = st.sampled_from(STANDARD_PARAMS)
 
 
 def test_functional_single_occupied_site():
-    g = OccupationConfig(lo=0, hi=0, bits=(1,))
     q = Fraction(2)
-    assert eval_functional("H", g, (0,), q) == Fraction(1, 2)
-    assert eval_functional("G", g, (0,), q) == Fraction(1, 2)
-    assert eval_functional("D", g, (0,), q) == Fraction(0)
+    assert eval_functional("H", (0,), (0,), q) == Fraction(1, 2)
+    assert eval_functional("G", (0,), (0,), q) == Fraction(1, 2)
+    assert eval_functional("D", (0,), (0,), q) == Fraction(0)
 
 
 def test_functional_empty_window():
-    g = OccupationConfig(lo=0, hi=0, bits=(0,))
     q = Fraction(2)
-    assert eval_functional("H", g, (0,), q) == Fraction(0)
-    assert eval_functional("G", g, (0,), q) == Fraction(1)
-    assert eval_functional("D", g, (0,), q) == Fraction(1)
+    assert eval_functional("H", (), (0,), q) == Fraction(0)
+    assert eval_functional("G", (), (0,), q) == Fraction(1)
+    assert eval_functional("D", (), (0,), q) == Fraction(1)
 
 
 def test_functional_counts_heights_left_of_each_point():
-    g = to_occupation((1, 3), lo=0, hi=3)
+    x = (1, 3)
     q = Fraction(2)
     # heights: one particle at or below 1, two at or below 3
-    assert eval_functional("H", g, (3, 1), q) == Fraction(1, 8)
-    assert eval_functional("G", g, (3, 1), q) == Fraction(1, 8)
-    assert eval_functional("G", g, (2,), q) == Fraction(1, 2)
-    assert eval_functional("D", g, (2,), q) == Fraction(1, 2)
-    assert eval_functional("H", g, (2,), q) == Fraction(0)
+    assert eval_functional("H", x, (3, 1), q) == Fraction(1, 8)
+    assert eval_functional("G", x, (3, 1), q) == Fraction(1, 8)
+    assert eval_functional("G", x, (2,), q) == Fraction(1, 2)
+    assert eval_functional("D", x, (2,), q) == Fraction(1, 2)
+    assert eval_functional("H", x, (2,), q) == Fraction(0)
 
 
-def test_functional_rejects_points_outside_window():
-    g = OccupationConfig(lo=0, hi=2, bits=(1, 0, 0))
-    with pytest.raises(ValueError):
-        eval_functional("H", g, (3,), Fraction(2))
-    with pytest.raises(ValueError):
-        eval_functional("G", g, (-1,), Fraction(2))
-    with pytest.raises(ValueError):
-        eval_functional("Z", g, (0,), Fraction(2))
+def test_functional_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        eval_functional("Z", (0,), (0,), Fraction(2))
 
 
 @given(
@@ -94,11 +81,12 @@ def test_functional_rejects_points_outside_window():
 def test_single_point_indicator_split(particles, point, params):
     # at one dual point the plain height factor splits into the occupied
     # and vacant parts exactly
-    g = to_occupation(particles, lo=-2, hi=4)
     q = params.q
-    h = eval_functional("H", g, (point,), q)
-    d = eval_functional("D", g, (point,), q)
-    assert eval_functional("G", g, (point,), q) == h + d
+    h = eval_functional("H", particles, (point,), q)
+    d = eval_functional("D", particles, (point,), q)
+    assert eval_functional("G", particles, (point,), q) == h + d
+    assert h == oracle.oracle_functional("H", particles, (point,), q)
+    assert d == oracle.oracle_functional("D", particles, (point,), q)
 
 
 # --- exact engines: frozen worked values ----------------------------------------
@@ -326,11 +314,8 @@ def test_empty_configuration_conventions():
 
 
 def test_public_wrappers_require_dual_particles():
-    res = exact_expectation_forward((0,), (1,), "H", 1, P_HALF_QUARTER)
-    assert res.value == Fraction(3, 16)
-    assert exact_expectation_reversed((0,), (1,), "H", 1, P_HALF_QUARTER).value == (
-        Fraction(3, 16)
-    )
+    assert exact_expectation_forward((0,), (1,), "H", 1, P_HALF_QUARTER) == Fraction(3, 16)
+    assert exact_expectation_reversed((0,), (1,), "H", 1, P_HALF_QUARTER) == Fraction(3, 16)
     with pytest.raises(ValueError):
         exact_expectation_forward((0,), (), "H", 1, P_HALF_QUARTER)
     with pytest.raises(ValueError):
@@ -338,8 +323,6 @@ def test_public_wrappers_require_dual_particles():
 
 
 def test_expectation_result_json_shapes():
-    exact = ExpectationResult(value=Fraction(1, 4))
-    assert exact.to_json_obj() == {"value": "1/4"}
     mc = ExpectationResult(mean=0.25, stderr=0.01, n=100, seed=7)
     assert mc.to_json_obj() == {"mean": 0.25, "stderr": 0.01, "n": 100, "seed": 7}
 

@@ -43,6 +43,15 @@ def test_one_particle_kernel_examples():
     assert one_particle_kernel(5, 4, P_HALF_QUARTER) == 0
 
 
+@pytest.mark.parametrize(
+    "p", STANDARD_PARAMS + (cycled_inhom_params(0, 8),), ids=["std0", "std1", "std2", "cycled"]
+)
+def test_one_particle_kernel_matches_the_closed_form(p):
+    for x in range(0, 7):
+        for y in range(x - 1, 9):
+            assert one_particle_kernel(x, y, p) == oracle.free_jump_prob(p, x, y, None)
+
+
 def test_one_particle_kernel_sums_with_analytic_tail():
     p = P_HALF_QUARTER
     total = sum(one_particle_kernel(0, y, p) for y in range(0, 41))

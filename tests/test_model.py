@@ -1,18 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sixv.model import (
-    OccupationConfig,
     Params,
     VertexType,
     format_rational,
-    height,
     parse_rational,
-    to_location,
-    to_occupation,
     validate_location,
     validate_reversed,
     vertex_weight,
@@ -46,6 +42,13 @@ def test_format_rational_always_shows_denominator():
     assert format_rational(Fraction(1, 4)) == "1/4"
     assert format_rational(Fraction(3)) == "3/1"
     assert format_rational(Fraction(0)) == "0/1"
+
+
+def test_format_rational_prints_values_past_the_digit_limit():
+    # 10**5000 + 1 has 5,001 digits, past the default int-to-str limit of 4,300
+    expected = "1" + "0" * 4999 + "1" + "/3"
+    assert format_rational(Fraction(10**5000 + 1, 3)) == expected
+    assert format_rational(Fraction(-(10**5000) - 1, 3)) == "-" + expected
 
 
 # --- Params ------------------------------------------------------------------
@@ -82,6 +85,13 @@ def test_params_rejects_duplicate_site():
             b2=Fraction(1, 4),
             b2_sites=((0, Fraction(1, 3)), (0, Fraction(1, 2))),
         )
+
+
+def test_params_rejects_bool_site_keys():
+    # True is an int to isinstance, but it serializes as "True", which
+    # from_json_obj cannot read back
+    with pytest.raises(ValueError, match="must be ints"):
+        Params(q=Fraction(1, 2), b2=Fraction(1, 4), b2_sites=((True, Fraction(1, 3)),))
 
 
 def test_params_site_lookup():
@@ -132,67 +142,6 @@ def test_validate_reversed_orders():
         validate_reversed((0, 2))
     with pytest.raises(ValueError):
         validate_reversed((2, 2))
-
-
-def test_to_occupation_examples():
-    g = to_occupation((2, 3), 0, 5)
-    assert g.bits == (0, 0, 1, 1, 0, 0)
-    assert g.escaped_right == 0
-
-    empty = to_occupation((), 0, 3)
-    assert empty.bits == (0, 0, 0, 0)
-    assert empty.escaped_right == 0
-
-    folded = to_occupation((1, 7), 0, 5)
-    assert folded.bits == (0, 1, 0, 0, 0, 0)
-    assert folded.escaped_right == 1
-    assert folded.particle_count() == 2
-
-
-def test_to_occupation_rejects_left_of_window():
-    with pytest.raises(ValueError):
-        to_occupation((-1, 3), 0, 5)
-
-
-def test_to_location_examples():
-    assert to_location(OccupationConfig(0, 5, (0, 0, 1, 1, 0, 0))) == (2, 3)
-    assert to_location(OccupationConfig(0, 3, (0, 0, 0, 0))) == ()
-    with pytest.raises(ValueError):
-        to_location(OccupationConfig(0, 1, (1, 0), escaped_right=1))
-
-
-@settings(max_examples=200)
-@given(st.lists(st.integers(-5, 10), unique=True, max_size=6).map(sorted))
-def test_occupation_round_trip(xs):
-    x = tuple(xs)
-    assert to_location(to_occupation(x, -5, 10)) == x
-
-
-def test_height_examples():
-    g = OccupationConfig(0, 5, (0, 0, 1, 1, 0, 0))
-    assert height(g, 3) == 2
-    assert height(g, -1) == 0
-
-    alt = OccupationConfig(0, 5, (0, 1, 0, 1, 0, 1))
-    assert height(alt, 4) == 2
-    with pytest.raises(ValueError):
-        height(alt, 6)
-
-
-@given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8))
-def test_height_monotone(bits):
-    g = OccupationConfig(0, len(bits) - 1, tuple(bits))
-    for site in range(0, len(bits) - 1):
-        lower, upper = height(g, site), height(g, site + 1)
-        assert lower <= upper <= lower + 1
-
-
-def test_occupancy_bounds():
-    g = OccupationConfig(0, 2, (1, 0, 0), escaped_right=1)
-    assert g.occupancy(-4) == 0
-    assert g.occupancy(0) == 1
-    with pytest.raises(ValueError):
-        g.occupancy(3)
 
 
 # --- vertex weights ----------------------------------------------------------

@@ -10,6 +10,7 @@ from sixv.duality import (
     _evolve,
     _forward_entries,
     _reversed_entries,
+    eval_functional,
     exact_expectation_forward,
     exact_expectation_reversed,
     mc_expectation,
@@ -438,6 +439,7 @@ BAD = {
 # name -> (call on (x, y), the configurations it reads)
 ENTRY_POINTS = {
     "check_duality": (lambda x, y: check_duality(x, y, "H", 1, P_HALF_QUARTER), "xy"),
+    "eval_functional": (lambda x, y: eval_functional("H", x, y, Fraction(2)), "xy"),
     "exact_expectation_forward": (
         lambda x, y: exact_expectation_forward(x, y, "H", 1, P_HALF_QUARTER), "xy"
     ),
