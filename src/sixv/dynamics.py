@@ -19,9 +19,17 @@ per prefix into a single outcome carrying only a particle count.  The
 crossing mass is a closed-form product of pass-through factors, so the
 distribution stays finite and exactly rational — nothing is truncated.
 
-Every law is a :class:`ScaledLaw`: one lcm denominator over integer
-numerators, keyed by (resolved positions, lumped count); the t-step engine
-in :mod:`sixv.duality` composes these directly.  The public
+A one-step law is enumerated the way the row update is taken: one scan
+over the particles in update order, one particle at a time.  Each
+particle's moves are built once per law as two integer lists over one
+denominator, free (hold with b1, then each landing) and pushed (landings
+only), and every partial path is extended by an integer multiply.  Distinct
+paths end in distinct outcomes, so nothing is merged; the finished law is
+reduced by its gcd.
+
+Every law is a :class:`ScaledLaw`: one denominator over integer numerators
+in lowest terms, keyed by (resolved positions, lumped count); the t-step
+engine in :mod:`sixv.duality` composes these directly.  The public
 ``*_step_distribution`` functions validate their input; the shared
 enumeration takes configurations that are already checked.
 """
@@ -33,7 +41,7 @@ import math
 import random
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from sixv.model import (
     LocationConfig,
@@ -107,38 +115,46 @@ class ScaledLaw(NamedTuple):
             raise ValueError(f"numerators sum to {total}, not den = {self.den}")
 
 
-def _walk_landings(
+def _particle_moves(
     u: int,
     cap: int | None,
-    lump_after: int,
+    boundary: int,
     params: Params,
     step: int,
-    pushed: bool,
     mutation: Mutation | None,
-) -> Iterator[tuple[int | None, Fraction]]:
-    """Enumerate landings of one departed particle (mass conditioned on leaving u).
+) -> tuple[int, list[tuple[int | None, int]], list[tuple[int | None, int]]]:
+    """One particle's moves, both lists over one integer denominator.
 
-    ``step`` is +1 (forward) or -1 (reversed); ``cap`` is the pre-update
-    position of the constraining neighbour (None when unconstrained);
-    ``lump_after`` is the last site still resolved.  Yields (site, prob)
-    pairs and finally (None, tail_mass) when the walk can cross the
-    boundary.  Probabilities are conditional on departure.
+    Returns ``(den, free, pushed)``: ``free`` holds at u first, then
+    departs; ``pushed`` must leave u.  Each is a list of (site, numerator)
+    in walk order, and site None is the lump past ``boundary``.  ``cap`` is
+    the pre-update position of the next particle (None for the last one),
+    which lies inside the boundary whenever the enumeration runs.
     """
-    through = Fraction(1)
+    # landings given departure: (site, numerator, running b2 denominator)
+    walk: list[tuple[int | None, int, int]] = []
+    through, through_den = 1, 1
     z = u + step
-    while True:
-        if cap is not None and z == cap:
-            prob = through
-            if mutation is Mutation.LANDING_FACTOR and pushed:
-                prob *= 1 - params.b2_at(z)
-            yield z, prob
-            return
-        if (z - lump_after) * step > 0:
-            yield None, through
-            return
-        yield z, through * (1 - params.b2_at(z))
-        through *= params.b2_at(z)
+    while z != cap and (z - boundary) * step <= 0:
+        b2 = params.b2_at(z)
+        a, b = b2.numerator, b2.denominator
+        walk.append((z, through * (b - a), through_den * b))
+        through, through_den = through * a, through_den * b
         z += step
+    free_walk = walk + [(cap, through, through_den)]
+    pushed_walk = free_walk
+    if cap is not None and mutation is Mutation.LANDING_FACTOR:
+        b2 = params.b2_at(cap)
+        a, b = b2.numerator, b2.denominator
+        pushed_walk = walk + [(cap, through * (b - a), through_den * b)]
+    walk_den = pushed_walk[-1][2]  # every other walk denominator divides it
+    b1 = params.b1_at(u)
+    hold, hold_den = b1.numerator, b1.denominator
+    free = [(u, hold * walk_den)] + [
+        (site, (hold_den - hold) * num * (walk_den // d)) for site, num, d in free_walk
+    ]
+    pushed = [(site, hold_den * num * (walk_den // d)) for site, num, d in pushed_walk]
+    return hold_den * walk_den, free, pushed
 
 
 def _step_distribution(
@@ -150,45 +166,12 @@ def _step_distribution(
 ) -> ScaledLaw:
     """Shared forward/reversed enumeration; ``step`` fixes the direction.
 
-    Mass is added up per (positions, lumped) outcome, then brought over the
-    lcm of its denominators and checked (:meth:`ScaledLaw.check`).
-    ``start`` must already be ordered along ``step``.
+    One scan over the particles in update order extends every partial path
+    by each move of the next particle.  Distinct paths end in distinct
+    outcomes, so the paths are the law, in depth-first order; it is reduced
+    by its gcd and checked (:meth:`ScaledLaw.check`).  ``start`` must
+    already be ordered along ``step``.
     """
-    acc: dict[State, Fraction] = {}
-
-    def record(prefix: tuple[int, ...], lumped: int, prob: Fraction) -> None:
-        key = (prefix, lumped)
-        acc[key] = acc.get(key, Fraction(0)) + prob
-
-    def recurse(
-        i: int, prev_landing: int | None, prefix: tuple[int, ...], prob: Fraction
-    ) -> None:
-        if i == len(start):
-            record(prefix, 0, prob)
-            return
-        u = start[i]
-        if mutation is Mutation.PUSH_TRIGGER:
-            pushed = prev_landing is not None and prev_landing != start[i - 1]
-        else:
-            pushed = prev_landing is not None and prev_landing == u
-        cap = start[i + 1] if i + 1 < len(start) else None
-        if not pushed:
-            hold = prob * params.b1_at(u)
-            recurse(i + 1, u, prefix + (u,), hold)
-            depart = prob * (1 - params.b1_at(u))
-        else:
-            depart = prob
-        if not depart:
-            return
-        for site, p in _walk_landings(u, cap, boundary, params, step, pushed, mutation):
-            if site is None:
-                # Everything from here on is beyond the boundary; remaining
-                # particles (there are none unless the input was all-beyond)
-                # would be capped beyond it too.
-                record(prefix, len(start) - i, depart * p)
-            else:
-                recurse(i + 1, site, prefix + (site,), depart * p)
-
     beyond = [(p - boundary) * step > 0 for p in start]
     if any(beyond):
         if not all(beyond):
@@ -196,13 +179,30 @@ def _step_distribution(
                 "initial positions straddle the lump boundary; move the boundary "
                 f"past {start}"
             )
-        record((), len(start), Fraction(1))
+        law = ScaledLaw(1, ((((), len(start)), 1),))
     else:
-        recurse(0, None, (), Fraction(1))
-    den = math.lcm(*(p.denominator for p in acc.values()))
-    law = ScaledLaw(
-        den, tuple((key, p.numerator * (den // p.denominator)) for key, p in acc.items())
-    )
+        trigger = mutation is Mutation.PUSH_TRIGGER
+        den = 1
+        paths: list[tuple[State, int]] = [(((), 0), 1)]
+        for i, u in enumerate(start):
+            cap = start[i + 1] if i + 1 < len(start) else None
+            d, free, pushed = _particle_moves(u, cap, boundary, params, step, mutation)
+            den *= d
+            grown = []
+            for (prefix, _), weight in paths:
+                if not prefix:
+                    moves = free
+                elif trigger:
+                    moves = pushed if prefix[-1] != start[i - 1] else free
+                else:
+                    moves = pushed if prefix[-1] == u else free
+                for site, num in moves:
+                    # only the last particle, which has no cap, can lump
+                    state = (prefix, 1) if site is None else (prefix + (site,), 0)
+                    grown.append((state, weight * num))
+            paths = grown
+        g = math.gcd(den, *(weight for _, weight in paths))
+        law = ScaledLaw(den // g, tuple((state, weight // g) for state, weight in paths))
     law.check(boundary, step, mass_deficit=mutation is Mutation.LANDING_FACTOR)
     return law
 
@@ -272,6 +272,7 @@ def _sample_landing(
 def _sample_step(
     start: tuple[int, ...], params: Params, step: int, rng: random.Random
 ) -> tuple[int, ...]:
+    """One unlumped draw of the ``step`` law from a start ordered along ``step``."""
     out: list[int] = []
     prev: int | None = None
     for i, u in enumerate(start):
@@ -281,16 +282,3 @@ def _sample_step(
         out.append(prev)
     return tuple(out)
 
-
-def sample_forward_step(
-    x: LocationConfig, params: Params, rng: random.Random
-) -> LocationConfig:
-    """One unlumped draw from the forward law (geometric tails unbounded)."""
-    return _sample_step(validate_location(x), params, +1, rng)
-
-
-def sample_reversed_step(
-    y: ReversedConfig, params: Params, rng: random.Random
-) -> ReversedConfig:
-    """One unlumped draw from the reversed (leftward) law."""
-    return _sample_step(validate_reversed(y), params, -1, rng)

@@ -11,10 +11,10 @@ Conventions used throughout the package:
 * These position tuples are the only configuration type: occupations and
   heights are read off them where a functional needs them
   (:mod:`sixv.duality`).
-* Every probability on the exact code path is exact: a
-  ``fractions.Fraction`` while a one-step law is enumerated, and an integer
-  numerator over a shared integer denominator in every finished law.
-  Floats appear only in the Monte Carlo estimator.
+* Every probability on the exact code path is exact: parameters are
+  ``fractions.Fraction``, and every law, from the first particle of a
+  one-step enumeration on, is integer numerators over a shared integer
+  denominator.  Floats appear only in the Monte Carlo estimator.
 
 Parameters are the per-site jump probabilities ``b1`` (probability that an
 unconstrained particle holds still) and ``b2`` (probability of passing
@@ -191,10 +191,20 @@ class Params:
                 raise ValueError(f"b2_sites must be a JSON object, got {obj['b2_sites']!r}")
             default = parse_rational(obj["b2_default"])
             sites = tuple(
-                sorted((int(k), parse_rational(v)) for k, v in obj["b2_sites"].items())
+                sorted((_site_key(k), parse_rational(v)) for k, v in obj["b2_sites"].items())
             )
             return cls(q=q, b2=default, b2_sites=sites)
         return cls(q=q, b2=parse_rational(obj["b2"]))
+
+
+def _site_key(key: str) -> int:
+    """A ``b2_sites`` key, accepted only as :meth:`Params.to_json_obj` writes it."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"b2_sites key {key!r} must be a plain integer such as '-3' or '10'")
 
 
 # The homogeneous parameter pairs every standard sweep runs over: two

@@ -239,26 +239,18 @@ def check_lemma_factorization(
     held = expect_one_step_held("forward", x, y, "H", params)
     coeff = params.q ** (-k) * params.b1_at(x1)
     label = _case_label(x, y)
-
-    if x1 < yk:
-        rhs = coeff * expect_forward(x[1:], y, "H", 1, params)
-        checked = _checked(
-            "hold_factorization", x, y, params, 1, "H", held, rhs, case=label
-        )
-        skipped = _skipped(
-            "hold_factorization_pinned", x, y, params, 1, "H",
-            "needs x_1 = y_k", case=label,
-        )
-        return checked, skipped
-    rhs = coeff * expect_forward(x[1:], y[:-1], "H", 1, params)
-    checked = _checked(
-        "hold_factorization_pinned", x, y, params, 1, "H", held, rhs, case=label
+    pinned = x1 == yk
+    rhs = coeff * expect_forward(x[1:], y[:-1] if pinned else y, "H", 1, params)
+    variants = (
+        ("hold_factorization", not pinned, "needs x_1 < y_k"),
+        ("hold_factorization_pinned", pinned, "needs x_1 = y_k"),
     )
-    skipped = _skipped(
-        "hold_factorization", x, y, params, 1, "H",
-        "needs x_1 < y_k", case=label,
+    return tuple(
+        _checked(identity, x, y, params, 1, "H", held, rhs, case=label)
+        if applies
+        else _skipped(identity, x, y, params, 1, "H", reason, case=label)
+        for identity, applies, reason in variants
     )
-    return skipped, checked
 
 
 # One side's one-step H expectation, E(x, y), as the case identities use it.

@@ -61,7 +61,7 @@ def pushed_jump_prob(params: Params, u: int, z: int, cap: int | None) -> Fractio
 
 
 def oracle_forward_outcomes(
-    x: tuple[int, ...], params: Params, zmax: int
+    x: tuple[int, ...], params: Params, zmax: int, mutation: Mutation | None = None
 ) -> tuple[dict[tuple[int, ...], Fraction], dict[tuple[int, ...], Fraction]]:
     """Exhaustive one-step enumeration of the forward process.
 
@@ -70,6 +70,11 @@ def oracle_forward_outcomes(
     landing prefix of all but the last particle to the exact mass of the last
     particle ending up strictly right of zmax (closed-form geometric
     remainder).  Requires zmax ≥ max(x).
+
+    The two dynamics mutations change one decision each, as the
+    :class:`Mutation` docstring states them: under ``LANDING_FACTOR`` a
+    pushed particle's jump onto its cap keeps 1 - b2(cap); under
+    ``PUSH_TRIGGER`` a particle is pushed whenever its left neighbour moved.
     """
     if x and zmax < max(x):
         raise ValueError("zmax must cover the initial configuration")
@@ -81,13 +86,18 @@ def oracle_forward_outcomes(
             outcomes[prefix] = outcomes.get(prefix, Fraction(0)) + mass
             return
         u = x[i]
-        pushed = prev_landing is not None and prev_landing == u
+        if mutation is Mutation.PUSH_TRIGGER:
+            pushed = prev_landing is not None and prev_landing != x[i - 1]
+        else:
+            pushed = prev_landing is not None and prev_landing == u
         cap = x[i + 1] if i + 1 < len(x) else None
         jump = pushed_jump_prob if pushed else free_jump_prob
         lo = u + 1 if pushed else u
         hi = cap if cap is not None else zmax
         for z in range(lo, hi + 1):
             p = jump(params, u, z, cap)
+            if pushed and z == cap and mutation is Mutation.LANDING_FACTOR:
+                p *= 1 - params.b2_at(z)
             if p:
                 recurse(i + 1, z, prefix + (z,), mass * p)
         if cap is None:
@@ -135,7 +145,11 @@ def reflect_params(params: Params) -> Params:
 
 
 def oracle_reversed_coarse(
-    y: tuple[int, ...], params: Params, boundary: int, zmin: int
+    y: tuple[int, ...],
+    params: Params,
+    boundary: int,
+    zmin: int,
+    mutation: Mutation | None = None,
 ) -> dict[tuple[tuple[int, ...], int], Fraction]:
     """Negate-run-forward-negate oracle for the reversed (leftward) process.
 
@@ -144,7 +158,9 @@ def oracle_reversed_coarse(
     lump.  Requires zmin ≤ min(y).
     """
     mirrored = tuple(-p for p in y)  # descending y negates to ascending
-    outcomes, tails = oracle_forward_outcomes(mirrored, reflect_params(params), -zmin)
+    outcomes, tails = oracle_forward_outcomes(
+        mirrored, reflect_params(params), -zmin, mutation
+    )
     folded = coarsen_to_boundary(outcomes, tails, -boundary)
     result: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for (positions, lumped), p in folded.items():

@@ -164,10 +164,14 @@ def test_b2_sites_file_gives_the_library_report(capsys, tmp_path):
         json.dumps({"0": 0.25}),
         json.dumps({"0": "3/2"}),
         '{"0": "1/3", "00": "1/2"}',
+        json.dumps({"1_0": "1/3"}),
+        json.dumps({" +1 ": "1/3"}),
+        json.dumps({"\u0661": "1/3"}),
     ],
     ids=[
         "missing-file", "not-json", "json-list", "non-int-key", "float-value",
-        "out-of-range-value", "duplicate-site",
+        "out-of-range-value", "duplicate-site", "underscore-key", "padded-key",
+        "non-ascii-digit-key",
     ],
 )
 def test_b2_sites_file_rejects_bad_input(capsys, tmp_path, text):
@@ -266,10 +270,11 @@ def _spec_text(**overrides) -> str:
         _spec_text(kinds="HG"),
         _spec_text(max_ell=2.5),
         _spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": ["0"]}]),
+        _spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": {"1_0": "1/3"}}]),
     ],
     ids=[
         "not-json", "json-list", "string-window", "float-window", "string-kinds",
-        "float-max-ell", "list-b2-sites",
+        "float-max-ell", "list-b2-sites", "underscore-site-key",
     ],
 )
 def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text):

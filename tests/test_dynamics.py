@@ -8,11 +8,10 @@ import oracle
 from sixv.dynamics import (
     Mutation,
     ScaledLaw,
+    _sample_step,
     forward_step_distribution,
     one_particle_kernel,
     reversed_step_distribution,
-    sample_forward_step,
-    sample_reversed_step,
     trajectory_rng,
 )
 from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
@@ -267,6 +266,24 @@ def test_push_trigger_mutation_changes_law():
     assert ((1, 2), 0) not in entries_dict(hurt)
 
 
+@settings(max_examples=100)
+@given(
+    st.lists(st.integers(-4, 8), unique=True, min_size=1, max_size=4),
+    some_params,
+    st.integers(0, 3),
+    st.sampled_from([Mutation.LANDING_FACTOR, Mutation.PUSH_TRIGGER]),
+)
+def test_mutated_laws_match_the_mutated_oracle(sites, params, slack, mutation):
+    x = tuple(sorted(sites))
+    r = x[-1] + slack
+    outcomes, tails = oracle.oracle_forward_outcomes(x, params, r + 6, mutation)
+    expected = oracle.coarsen_to_boundary(outcomes, tails, r)
+    assert entries_dict(forward_step_distribution(x, params, r, mutation)) == expected
+    y, boundary = x[::-1], x[0] - slack
+    expected = oracle.oracle_reversed_coarse(y, params, boundary, boundary - 6, mutation)
+    assert entries_dict(reversed_step_distribution(y, params, boundary, mutation)) == expected
+
+
 # --- the integer law check -----------------------------------------------------
 
 
@@ -300,15 +317,15 @@ def test_step_distribution_rejects_bad_totals_and_duplicates():
 
 def test_sampler_deterministic_for_seed_and_stream():
     a = [
-        sample_forward_step((0, 2, 5), P_HALF_QUARTER, trajectory_rng(7, i))
+        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, trajectory_rng(7, i))
         for i in range(50)
     ]
     b = [
-        sample_forward_step((0, 2, 5), P_HALF_QUARTER, trajectory_rng(7, i))
+        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, trajectory_rng(7, i))
         for i in range(50)
     ]
     c = [
-        sample_forward_step((0, 2, 5), P_HALF_QUARTER, trajectory_rng(8, i))
+        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, trajectory_rng(8, i))
         for i in range(50)
     ]
     assert a == b
@@ -319,7 +336,7 @@ def test_sampler_near_certain_hold():
     p = Params(q=Fraction(999), b2=Fraction(1, 1000))  # b1 = 999/1000
     n = 10_000
     rng = trajectory_rng(11, "hold")
-    stays = sum(sample_forward_step((0,), p, rng) == (0,) for _ in range(n))
+    stays = sum(_sample_step((0,), p, +1, rng) == (0,) for _ in range(n))
     mean = p.b1
     sigma = float(mean * (1 - mean) / n) ** 0.5
     assert abs(stays / n - float(mean)) < 4 * sigma
@@ -331,7 +348,7 @@ def test_sampler_matches_exact_distribution_within_4_sigma():
     rng = trajectory_rng(3, "cells")
     counts: dict[int, int] = {}
     for _ in range(n):
-        (z,) = sample_forward_step((0,), p, rng)
+        (z,) = _sample_step((0,), p, +1, rng)
         counts[z] = counts.get(z, 0) + 1
     exact = entries_dict(forward_step_distribution((0,), p, R=6))
     for z in range(0, 7):
@@ -349,7 +366,7 @@ def test_sampler_preserves_order():
     pick = trajectory_rng(5, "configs")
     for _ in range(10_000):
         x = tuple(sorted(pick.sample(range(-3, 9), pick.randint(1, 4))))
-        out = sample_forward_step(x, P_HALF_QUARTER, rng)
+        out = _sample_step(x, P_HALF_QUARTER, +1, rng)
         assert all(a < b for a, b in zip(out, out[1:]))
 
 
@@ -359,7 +376,7 @@ def test_reversed_sampler_mirrors_forward_within_4_sigma():
     rng = trajectory_rng(13, "mirror")
     counts: dict[int, int] = {}
     for _ in range(n):
-        (z,) = sample_reversed_step((0,), p, rng)
+        (z,) = _sample_step((0,), p, -1, rng)
         counts[z] = counts.get(z, 0) + 1
     for v in range(0, -7, -1):
         prob = float(one_particle_kernel(0, -v, p))  # mirror of forward jump
@@ -373,7 +390,7 @@ def test_reversed_sampler_hold_frequency_and_order():
     n = 100_000
     stays = 0
     for _ in range(n):
-        out = sample_reversed_step((4, 1, 0), p, rng)
+        out = _sample_step((4, 1, 0), p, -1, rng)
         assert all(a > b for a, b in zip(out, out[1:]))
         stays += out[0] == 4
     prob = float(p.b1)
