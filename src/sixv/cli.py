@@ -100,6 +100,11 @@ def cmd_check(ns: argparse.Namespace) -> int:
         raise CliError("--y needs at least one dual particle")
     if ns.t < 0:
         raise CliError("--t must be >= 0")
+    if ns.n_samples is not None:
+        if ns.seed is None:
+            raise CliError("--n-samples needs --seed")
+        if ns.n_samples < 1:
+            raise CliError("--n-samples must be >= 1")
     reports = [check_duality(x, y, ns.kind, ns.t, params)]
     if ns.identities == "all":
         # the decomposition identities are one-step statements; they run at
@@ -110,10 +115,6 @@ def cmd_check(ns: argparse.Namespace) -> int:
             reports.extend(check_case_identities(x, y, params))
     lines = [json.dumps(r.to_json_obj()) for r in reports]
     if ns.n_samples is not None:
-        if ns.seed is None:
-            raise CliError("--n-samples needs --seed")
-        if ns.n_samples < 1:
-            raise CliError("--n-samples must be >= 1")
         for side in ("forward", "reversed"):
             res = mc_expectation(
                 side, x, y, ns.kind, ns.t, params, ns.n_samples, ns.seed

@@ -380,7 +380,9 @@ def mc_expectation(
             mean=float(exact), stderr=0.0, n=n_samples, seed=seed
         )
     moving, fixed = _oriented(step, x, y)
-    q = params.q
+    # the functional's float value per exponent m met (None: it vanishes);
+    # float(Fraction) rounds correctly, as float(_functional_at_points) did
+    power: dict[int | None, float] = {None: 0.0}
     total = 0.0
     total_sq = 0.0
     for i in range(n_samples):
@@ -388,7 +390,10 @@ def mc_expectation(
         current = moving
         for _ in range(t):
             current = _sample_step(current, params, step, rng)
-        v = float(_functional_at_points(kind, *_oriented(step, current, fixed), q))
+        m = _exponent_at_points(kind, *_oriented(step, current, fixed))
+        v = power.get(m)
+        if v is None:
+            v = power[m] = float(params.q ** -m)
         total += v
         total_sq += v * v
     mean = total / n_samples

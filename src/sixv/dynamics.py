@@ -32,6 +32,10 @@ in lowest terms, keyed by (resolved positions, lumped count); the t-step
 engine in :mod:`sixv.duality` composes these directly.  The public
 ``*_step_distribution`` functions validate their input; the shared
 enumeration takes configurations that are already checked.
+
+The sampler draws the row update itself.  It compares each ``random()``
+draw with an exact float threshold rather than with a Fraction, and the
+two tests agree on every draw (:func:`_sample_step`).
 """
 
 from __future__ import annotations
@@ -253,32 +257,34 @@ def trajectory_rng(seed: int, stream: int | str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _sample_landing(
-    u: int, cap: int | None, params: Params, step: int, pushed: bool, rng: random.Random
-) -> int:
-    """Draw one landing site by walking the geometric passage site by site."""
-    if not pushed:
-        if rng.random() < params.b1_at(u):
-            return u
-    z = u + step
-    while True:
-        if cap is not None and z == cap:
-            return z
-        if rng.random() < 1 - params.b2_at(z):
-            return z
-        z += step
-
-
 def _sample_step(
     start: tuple[int, ...], params: Params, step: int, rng: random.Random
 ) -> tuple[int, ...]:
-    """One unlumped draw of the ``step`` law from a start ordered along ``step``."""
+    """One unlumped draw of the ``step`` law from a start ordered along ``step``.
+
+    Particles go in update order.  One that was not pushed holds when a
+    draw falls below b1 at its site; otherwise it walks the geometric
+    passage site by site, stopping where a draw falls below 1 - b2, or
+    without a draw on its cap.  Each draw is compared with the exact float
+    threshold of :attr:`Params.hold_thresholds` or
+    :attr:`Params.stop_thresholds`: ``random()`` returns k/2^53, so
+    ``r < p`` and ``r < ceil(p·2^53)/2^53`` are the same test, and the
+    stream and every outcome are those of a comparison with the Fraction.
+    """
+    draw = rng.random
+    hold_at, hold = params.hold_thresholds
+    stop_at, stop = params.stop_thresholds
     out: list[int] = []
     prev: int | None = None
+    last = len(start) - 1
     for i, u in enumerate(start):
-        pushed = prev is not None and prev == u
-        cap = start[i + 1] if i + 1 < len(start) else None
-        prev = _sample_landing(u, cap, params, step, pushed, rng)
+        if prev != u and draw() < hold_at.get(u, hold):
+            prev = u
+        else:
+            cap = start[i + 1] if i < last else None
+            z = u + step
+            while z != cap and draw() >= stop_at.get(z, stop):
+                z += step
+            prev = z
         out.append(prev)
     return tuple(out)
-

@@ -14,7 +14,10 @@ Conventions used throughout the package:
 * Every probability on the exact code path is exact: parameters are
   ``fractions.Fraction``, and every law, from the first particle of a
   one-step enumeration on, is integer numerators over a shared integer
-  denominator.  Floats appear only in the Monte Carlo estimator.
+  denominator.  Floats appear only in the Monte Carlo estimator.  Its
+  sampler compares each ``random()`` draw with an exact float threshold
+  (:func:`float_threshold`): the same test as against the Fraction, with
+  no rational arithmetic per draw.
 
 Parameters are the per-site jump probabilities ``b1`` (probability that an
 unconstrained particle holds still) and ``b2`` (probability of passing
@@ -33,6 +36,9 @@ from typing import Iterable, Mapping
 LocationConfig = tuple[int, ...]
 # A strictly decreasing tuple of occupied sites (reversed process order).
 ReversedConfig = tuple[int, ...]
+
+# random.random() draws from the multiples of 1/_DRAW_GRID in [0, 1).
+_DRAW_GRID = 2**53
 
 
 def parse_rational(text: str) -> Fraction:
@@ -81,6 +87,18 @@ def _decimal(n: int, width: int = 0) -> str:
     return _decimal(high, width - half) + _decimal(low, half)
 
 
+def float_threshold(p: Fraction) -> float:
+    """The float T with ``r < T`` exactly when ``r < p``, for every ``random()`` draw r.
+
+    ``random.random()`` returns k/2^53 for an integer k in [0, 2^53), and
+    k < p·2^53 holds exactly when k < ceil(p·2^53).  For p in [0, 1] that
+    ceiling is an integer at most 2^53, so T = ceil(p·2^53)/2^53 is a float
+    with no rounding.  ``float(p)`` would not do: it may round down onto
+    the grid point just below p (p = 2/3 does) and so drop one k.
+    """
+    return -(-p.numerator * _DRAW_GRID // p.denominator) / _DRAW_GRID
+
+
 def _check_prob_open(name: str, value: Fraction) -> None:
     if not isinstance(value, Fraction):
         raise ValueError(f"{name} must be a Fraction, got {type(value).__name__}")
@@ -98,6 +116,11 @@ class Params:
     so the coupling b1 = q*b2 holds by construction.  Use
     :meth:`from_b1_b2` to build from explicit b1 values (it rejects inputs
     where the coupling fails at any declared site).
+
+    ``hold_thresholds`` and ``stop_thresholds`` are derived, not fields (so
+    they stay out of equality and hashing): ``(by_site, default)`` pairs of
+    :func:`float_threshold` of b1 and of 1 - b2, which the sampler compares
+    its draws with.
     """
 
     q: Fraction
@@ -124,6 +147,10 @@ class Params:
         # once here; b2_at, called per site visited, reads a dict.
         object.__setattr__(self, "_hash", hash((self.q, self.b2, self.b2_sites)))
         object.__setattr__(self, "_b2_by_site", dict(self.b2_sites))
+        hold = {site: float_threshold(self.q * value) for site, value in self.b2_sites}
+        stop = {site: float_threshold(1 - value) for site, value in self.b2_sites}
+        object.__setattr__(self, "hold_thresholds", (hold, float_threshold(self.b1)))
+        object.__setattr__(self, "stop_thresholds", (stop, float_threshold(1 - self.b2)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -185,16 +212,23 @@ class Params:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Params":
-        q = parse_rational(obj["q"])
+        q = _rational_field(obj, "q")
         if "b2_sites" in obj:
             if not isinstance(obj["b2_sites"], Mapping):
                 raise ValueError(f"b2_sites must be a JSON object, got {obj['b2_sites']!r}")
-            default = parse_rational(obj["b2_default"])
+            default = _rational_field(obj, "b2_default")
             sites = tuple(
                 sorted((_site_key(k), parse_rational(v)) for k, v in obj["b2_sites"].items())
             )
             return cls(q=q, b2=default, b2_sites=sites)
-        return cls(q=q, b2=parse_rational(obj["b2"]))
+        return cls(q=q, b2=_rational_field(obj, "b2"))
+
+
+def _rational_field(obj: Mapping, name: str) -> Fraction:
+    """The rational under ``name`` in a parameters object, which must have it."""
+    if name not in obj:
+        raise ValueError(f"parameters are missing the {name!r} field")
+    return parse_rational(obj[name])
 
 
 def _site_key(key: str) -> int:

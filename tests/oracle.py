@@ -11,11 +11,16 @@ The one exception is :func:`oracle_t_step_expectation`, which reuses the
 package's one-step laws (checked against the closed forms above) and
 composes them in plain ``Fraction`` arithmetic: it is the reference for the
 engine's scaled-integer composition and contraction.
+
+:func:`oracle_sample_step` is the sampler that compares every draw with a
+``Fraction``: the reference for the package's float-threshold sampler,
+which must draw the same outcomes from the same stream.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from sixv.duality import _functional_at_points
@@ -277,3 +282,33 @@ def oracle_t_step_expectation(
         elif not (lumped and kind == "H"):  # lumped dual points have g = 0
             total += prob * _functional_at_points(kind, x, positions, q)
     return total
+
+
+def _oracle_sample_landing(
+    u: int, cap: int | None, params: Params, step: int, pushed: bool, rng: random.Random
+) -> int:
+    """Draw one landing site by walking the geometric passage site by site."""
+    if not pushed:
+        if rng.random() < params.b1_at(u):
+            return u
+    z = u + step
+    while True:
+        if cap is not None and z == cap:
+            return z
+        if rng.random() < 1 - params.b2_at(z):
+            return z
+        z += step
+
+
+def oracle_sample_step(
+    start: tuple[int, ...], params: Params, step: int, rng: random.Random
+) -> tuple[int, ...]:
+    """One unlumped draw of the ``step`` law, every draw compared with a Fraction."""
+    out: list[int] = []
+    prev: int | None = None
+    for i, u in enumerate(start):
+        pushed = prev is not None and prev == u
+        cap = start[i + 1] if i + 1 < len(start) else None
+        prev = _oracle_sample_landing(u, cap, params, step, pushed, rng)
+        out.append(prev)
+    return tuple(out)

@@ -127,6 +127,25 @@ def test_check_rejects_malformed_input(capsys, argv):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [(("--n-samples", "10"), "--n-samples needs --seed"),
+     (("--n-samples", "0", "--seed", "1"), "--n-samples must be >= 1")],
+)
+def test_check_rejects_monte_carlo_flags_before_the_exact_check(
+    capsys, monkeypatch, flags, message
+):
+    def exact_check(*args, **kwargs):
+        raise AssertionError("the exact check ran before the flags were checked")
+
+    monkeypatch.setattr(sixv.cli, "check_duality", exact_check)
+    code, _, err = run_cli(
+        capsys, "check", "--x", "0,1,2,3", "--y", "12,8,5", "--t", "6", *flags
+    )
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 # --- --b2-sites ------------------------------------------------------------------
 
 
@@ -271,10 +290,14 @@ def _spec_text(**overrides) -> str:
         _spec_text(max_ell=2.5),
         _spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": ["0"]}]),
         _spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": {"1_0": "1/3"}}]),
+        _spec_text(params=[{"q": "1/2"}]),
+        _spec_text(params=[{"b2": "1/4"}]),
+        _spec_text(params=[{"q": "1/2", "b2": "1/4", "b2_sites": {"0": "1/3"}}]),
     ],
     ids=[
         "not-json", "json-list", "string-window", "float-window", "string-kinds",
         "float-max-ell", "list-b2-sites", "underscore-site-key",
+        "missing-b2", "missing-q", "sites-without-default",
     ],
 )
 def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text):

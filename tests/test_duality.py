@@ -411,6 +411,23 @@ def test_mc_is_deterministic_in_the_seed():
     assert c.mean != a.mean
 
 
+@pytest.mark.parametrize(
+    "side,x,y,kind,params,seed,mean,stderr",
+    [
+        ("forward", (0, 1, 3), (4, 2), "G", P_HALF_QUARTER, 31,
+         0.07934375, 0.0010346948352871173),
+        ("reversed", (0, 2, 3), (5, 3, 1), "D", cycled_inhom_params(0, 6), 37,
+         1.212, 0.09270288513555675),
+    ],
+    ids=["forward-homogeneous", "reversed-site-dependent"],
+)
+def test_mc_golden_values(side, x, y, kind, params, seed, mean, stderr):
+    # recorded from the sampler that compared every draw with a Fraction:
+    # the float-threshold sampler must reproduce them bit for bit
+    res = mc_expectation(side, x, y, kind, 2, params, 2000, seed)
+    assert (repr(res.mean), repr(res.stderr)) == (repr(mean), repr(stderr))
+
+
 def test_mc_time_zero_is_exact():
     res = mc_expectation("forward", (0, 2), (2, 0), "H", 0, P_HALF_QUARTER, 50, seed=3)
     assert res.mean == 0.125

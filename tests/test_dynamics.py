@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -396,3 +397,63 @@ def test_reversed_sampler_hold_frequency_and_order():
     prob = float(p.b1)
     sigma = (prob * (1 - prob) / n) ** 0.5
     assert abs(stays / n - prob) < 4 * sigma
+
+
+SAMPLER_PARAMS = STANDARD_PARAMS + (cycled_inhom_params(0, 6), Params.homogeneous("2", "1/997"))
+SAMPLER_STARTS = {
+    +1: [(0, 1, 2), (0, 2, 5), (3,), (-1, 0, 4, 5)],
+    -1: [(2, 1, 0), (5, 2, 0), (3,), (6, 5, 4, 1)],
+}
+
+
+def sample_both(start, params, step, rng, oracle_rng, steps=3):
+    """``steps`` chained draws from each sampler, checked to agree after each one."""
+    ours, theirs = start, start
+    for _ in range(steps):
+        ours = _sample_step(ours, params, step, rng)
+        theirs = oracle.oracle_sample_step(theirs, params, step, oracle_rng)
+        assert ours == theirs, (start, params, step)
+
+
+@pytest.mark.parametrize("step", [+1, -1])
+@pytest.mark.parametrize("params", SAMPLER_PARAMS)
+def test_sampler_draws_the_fraction_samplers_stream(params, step):
+    for seed in range(150):
+        for start in SAMPLER_STARTS[step]:
+            rng, oracle_rng = trajectory_rng(seed, start), trajectory_rng(seed, start)
+            sample_both(start, params, step, rng, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()
+            assert rng.random() == oracle_rng.random()
+
+
+class EdgeDraws:
+    """A generator stand-in that draws only the grid points k/2^53 around ``probs``.
+
+    For each probability p these are the multiple of 2^-53 at or just above
+    p and the one below it: the draws where a rounded float threshold would
+    disagree with p.  ``random()`` can return them, but a seeded stream
+    almost never does.
+    """
+
+    def __init__(self, probs, seed):
+        grid = 2**53
+        ceils = {-(-p.numerator * grid // p.denominator) for p in probs}
+        self.draws = sorted(k / grid for c in ceils for k in (c - 1, c) if 0 <= k < grid)
+        self.pick = random.Random(seed)
+        self.count = 0
+
+    def random(self):
+        self.count += 1
+        return self.pick.choice(self.draws)
+
+
+@pytest.mark.parametrize("step", [+1, -1])
+@pytest.mark.parametrize("params", SAMPLER_PARAMS)
+def test_sampler_agrees_with_fractions_on_the_threshold_grid_points(params, step):
+    b2s = [params.b2] + [value for _, value in params.b2_sites]
+    probs = [params.q * b2 for b2 in b2s] + [1 - b2 for b2 in b2s]
+    for seed in range(150):
+        for start in SAMPLER_STARTS[step]:
+            rng, oracle_rng = EdgeDraws(probs, seed), EdgeDraws(probs, seed)
+            sample_both(start, params, step, rng, oracle_rng)
+            assert rng.count == oracle_rng.count

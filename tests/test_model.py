@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sixv.model import (
     Params,
     VertexType,
+    float_threshold,
     format_rational,
     parse_rational,
     validate_location,
@@ -110,6 +111,16 @@ def test_params_site_lookup():
     assert twin == p and hash(twin) == hash(p)
     assert {p: 1}[twin] == 1
     assert twin.b2_at(0) == Fraction(1, 3)
+    # the sampler's thresholds, per override site and for the default
+    assert p.hold_thresholds == (
+        {0: float_threshold(Fraction(1, 6)), 2: float_threshold(Fraction(1, 4))},
+        float_threshold(Fraction(1, 8)),
+    )
+    assert p.stop_thresholds == (
+        {0: float_threshold(Fraction(2, 3)), 2: float_threshold(Fraction(1, 2))},
+        float_threshold(Fraction(3, 4)),
+    )
+
 
 def test_params_json_round_trip():
     hom = Params.homogeneous("2", "1/4")
@@ -122,6 +133,44 @@ def test_params_json_round_trip():
     obj = inhom.to_json_obj()
     assert obj["b2_sites"] == {"1": "1/3"}
     assert Params.from_json_obj(obj) == inhom
+
+
+@pytest.mark.parametrize(
+    "obj,field",
+    [({"q": "1/2"}, "b2"), ({"b2": "1/4"}, "q"),
+     ({"q": "1/2", "b2": "1/4", "b2_sites": {"0": "1/3"}}, "b2_default")],
+)
+def test_params_from_json_names_a_missing_field(obj, field):
+    with pytest.raises(ValueError, match=f"missing the '{field}' field"):
+        Params.from_json_obj(obj)
+
+
+# --- sampler thresholds --------------------------------------------------------
+
+GRID = 2**53  # random.random() returns k / GRID for an integer k in [0, GRID)
+
+
+def assert_threshold_exact(p: Fraction) -> None:
+    """k / GRID < T(p) agrees with k / GRID < p at the grid points around p."""
+    threshold = float_threshold(p)
+    floor = p.numerator * GRID // p.denominator
+    ceil = -(-p.numerator * GRID // p.denominator)
+    for k in (floor - 1, floor, ceil, ceil + 1):
+        if 0 <= k < GRID:
+            assert (k / GRID < threshold) == (Fraction(k, GRID) < p), (p, k)
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(1, 4), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+          Fraction(3, 4), Fraction(1, 997)],
+)
+def test_float_threshold_is_exact_at_the_grid_points(p):
+    assert_threshold_exact(p)
+
+
+@given(st.fractions(min_value=0, max_value=1).filter(lambda p: 0 < p < 1))
+def test_float_threshold_is_exact_for_any_probability(p):
+    assert_threshold_exact(p)
 
 
 # --- configurations ----------------------------------------------------------
