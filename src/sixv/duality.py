@@ -22,7 +22,9 @@ Exact expectations compose the lumped one-step laws from
 particles contribute a constant factor to every functional: forward
 particles beyond R = y_1 sit right of every evaluation point, reversed
 particles below L = x_1 see an empty left tail (factor 0 for H, 1 for G
-and D).  Nothing is truncated; every result is an exact rational.
+and D).  Nothing is truncated; every result is an exact rational.  An
+outcome of a law is its resolved positions: particles are conserved, so
+ℓ − len(positions) of the ℓ moving ones are lumped.
 
 The engine works in scaled integers.  Each cached one-step law is a
 :class:`~sixv.dynamics.ScaledLaw`, one lcm denominator over integer
@@ -141,22 +143,23 @@ def eval_functional(
 
 
 def _contract(
-    kind: str, law: ScaledLaw, fixed: tuple[int, ...], step: int, q: Fraction
+    kind: str, law: ScaledLaw, n_moving: int, fixed: tuple[int, ...], step: int, q: Fraction
 ) -> Fraction:
-    """sum of num/den * kind(particles, points) over a moving side's law.
+    """sum of num/den * kind(particles, points) over the law of ``n_moving`` points.
 
     Forward, particles lumped beyond R sit right of every dual point: a
-    factor 1 in all kinds.  Reversed, a lumped dual point sits left of every
-    particle: g = 0 there, which kills H, and height 0, a factor 1 for G and
-    D.  Numerators are summed per exponent m, then with q = a/b, so that
-    q^(-m) = b^m / a^m, every m is brought over the one denominator
-    a^top * den, top the largest exponent.
+    factor 1 in all kinds.  Reversed, a lumped dual point (an outcome with
+    fewer than ``n_moving`` positions) sits left of every particle: g = 0
+    there, which kills H, and height 0, a factor 1 for G and D.  Numerators
+    are summed per exponent m, then with q = a/b, so that q^(-m) = b^m / a^m,
+    every m is brought over the one denominator a^top * den, top the largest
+    exponent.
     """
     by_exponent: dict[int, int] = {}
-    for (positions, lumped), num in law.entries:
+    for positions, num in law.entries:
         if step > 0:
             m = _exponent_at_points(kind, positions, fixed)
-        elif lumped and kind == "H":
+        elif len(positions) < n_moving and kind == "H":
             continue
         else:
             m = _exponent_at_points(kind, fixed, positions)
@@ -180,8 +183,7 @@ def _fold(moving: tuple[int, ...], boundary: int, step: int) -> State:
     could ever reach a beyond-boundary neighbour's pre-update position, with
     the same crossing mass either way.
     """
-    kept = tuple(p for p in moving if (p - boundary) * step <= 0)
-    return kept, len(moving) - len(kept)
+    return tuple(p for p in moving if (p - boundary) * step <= 0)
 
 
 @lru_cache(maxsize=None)
@@ -207,24 +209,24 @@ def _evolve(
     mutation: Mutation | None,
     step: int,
 ) -> ScaledLaw:
-    """t-step law from a lumped state, in lowest terms.
+    """t-step law from the resolved positions ``state``, in lowest terms.
 
-    The steps compose in a loop, so no horizon is too long for the stack.
+    Starts that differ only in what is lumped share one entry.  The steps
+    compose in a loop, so no horizon is too long for the stack.
     """
     one_step = _forward_entries if step > 0 else _reversed_entries
     law = ScaledLaw(1, ((state, 1),))
     for _ in range(t):
         laws = [
-            (lumped, num, one_step(positions, params, boundary, mutation))
-            for (positions, lumped), num in law.entries
+            (num, one_step(positions, params, boundary, mutation))
+            for positions, num in law.entries
         ]
-        scale = math.lcm(*(one.den for _, _, one in laws))
+        scale = math.lcm(*(one.den for _, one in laws))
         acc: dict[State, int] = {}
-        for lumped, num, one in laws:
+        for num, one in laws:
             weight = num * (scale // one.den)
-            for (positions, more), p in one.entries:
-                key = (positions, lumped + more)
-                acc[key] = acc.get(key, 0) + weight * p
+            for positions, p in one.entries:
+                acc[positions] = acc.get(positions, 0) + weight * p
         den = law.den * scale
         g = math.gcd(den, *acc.values())
         if g > 1:
@@ -264,7 +266,7 @@ def _expect(
     if mutation is Mutation.INVERTED_Q:
         mutation, q = None, 1 / q
     law = _evolve(_fold(moving, boundary, step), params, boundary, t, mutation, step)
-    return _contract(kind, law, fixed, step, q)
+    return _contract(kind, law, len(moving), fixed, step, q)
 
 
 def expect_forward(
@@ -326,10 +328,8 @@ def expect_one_step_held(
     boundary = step * max(step * p for p in x + y)
     one_step = _forward_entries if step > 0 else _reversed_entries
     law = one_step(moving, params, boundary, None)
-    held = tuple(
-        (state, num) for state, num in law.entries if state[0][:1] == moving[:1]
-    )
-    return _contract(kind, ScaledLaw(law.den, held), fixed, step, params.q)
+    held = tuple((state, num) for state, num in law.entries if state[:1] == moving[:1])
+    return _contract(kind, ScaledLaw(law.den, held), len(moving), fixed, step, params.q)
 
 
 # --- public wrappers --------------------------------------------------------------

@@ -15,9 +15,11 @@ first and everything moves left.
 
 Exactness device: distributions are *lumped* at a boundary.  Mass where a
 particle crosses the boundary (forward: > R, reversed: < L) is aggregated
-per prefix into a single outcome carrying only a particle count.  The
+per prefix into the single outcome of the particles still resolved.  The
 crossing mass is a closed-form product of pass-through factors, so the
 distribution stays finite and exactly rational — nothing is truncated.
+The dynamics conserve particles, so an outcome is its resolved positions
+alone: from ℓ particles, ℓ − len(positions) are lumped.
 
 A one-step law is enumerated the way the row update is taken: one scan
 over the particles in update order, one particle at a time.  Each
@@ -28,8 +30,8 @@ paths end in distinct outcomes, so nothing is merged; the finished law is
 reduced by its gcd.
 
 Every law is a :class:`ScaledLaw`: one denominator over integer numerators
-in lowest terms, keyed by (resolved positions, lumped count); the t-step
-engine in :mod:`sixv.duality` composes these directly.  The public
+in lowest terms, keyed by resolved positions; the t-step engine in
+:mod:`sixv.duality` composes these directly.  The public
 ``*_step_distribution`` functions validate their input; the shared
 enumeration takes configurations that are already checked.
 
@@ -74,15 +76,17 @@ class Mutation(Enum):
     INVERTED_Q = "inverted_q"
 
 
-# A lumped outcome: resolved positions plus the count lumped past the boundary.
-State = tuple[tuple[int, ...], int]
+# A lumped outcome: the resolved positions; the rest are lumped past the boundary.
+State = tuple[int, ...]
 
 
 class ScaledLaw(NamedTuple):
-    """Exact finite law with probability ``num / den`` on each (state, num) entry.
+    """Exact finite law with probability ``num / den`` on each (positions, num) entry.
 
-    One-step and t-step laws alike.  :meth:`check` holds a one-step law to
-    the rules its enumeration guarantees.
+    One-step and t-step laws alike.  An outcome is its resolved positions;
+    particles are conserved, so an outcome of a law from ℓ particles has
+    ℓ − len(positions) lumped past the boundary.  :meth:`check` holds a
+    one-step law to the rules its enumeration guarantees.
     """
 
     den: int
@@ -91,29 +95,26 @@ class ScaledLaw(NamedTuple):
     def check(self, boundary: int, step: int, mass_deficit: bool = False) -> None:
         """Reject anything but a lumped one-step law in the ``step`` direction.
 
-        Numerators are positive, outcomes unique, lumped counts non-negative,
-        resolved positions strictly ordered along ``step`` (+1: increasing,
-        -1: decreasing) with none past ``boundary``, and the numerators sum
-        to exactly ``den``; to at most ``den`` when ``mass_deficit`` is set
-        (only the landing-factor mutation does that).
+        Numerators are positive, outcomes unique, resolved positions strictly
+        ordered along ``step`` (+1: increasing, -1: decreasing) with none
+        past ``boundary``, and the numerators sum to exactly ``den``; to at
+        most ``den`` when ``mass_deficit`` is set (only the landing-factor
+        mutation does that).
         """
         if self.den < 1:
             raise ValueError(f"denominator {self.den} must be positive")
         seen: set[State] = set()
         total = 0
-        for state, num in self.entries:
-            positions, lumped = state
+        for positions, num in self.entries:
             if num <= 0:
-                raise ValueError(f"non-positive numerator {num} for {state}")
-            if lumped < 0:
-                raise ValueError(f"lumped count must be >= 0 in {state}")
-            if state in seen:
-                raise ValueError(f"duplicate outcome {state}")
-            seen.add(state)
+                raise ValueError(f"non-positive numerator {num} for {positions}")
+            if positions in seen:
+                raise ValueError(f"duplicate outcome {positions}")
+            seen.add(positions)
             if any((b - a) * step <= 0 for a, b in zip(positions, positions[1:])):
                 raise ValueError(f"outcome positions out of order: {positions}")
             if positions and (positions[-1] - boundary) * step > 0:
-                raise ValueError(f"resolved position crosses the lump boundary: {state}")
+                raise ValueError(f"resolved position crosses the lump boundary: {positions}")
             total += num
         if total > self.den or (total < self.den and not mass_deficit):
             raise ValueError(f"numerators sum to {total}, not den = {self.den}")
@@ -183,17 +184,17 @@ def _step_distribution(
                 "initial positions straddle the lump boundary; move the boundary "
                 f"past {start}"
             )
-        law = ScaledLaw(1, ((((), len(start)), 1),))
+        law = ScaledLaw(1, (((), 1),))
     else:
         trigger = mutation is Mutation.PUSH_TRIGGER
         den = 1
-        paths: list[tuple[State, int]] = [(((), 0), 1)]
+        paths: list[tuple[State, int]] = [((), 1)]
         for i, u in enumerate(start):
             cap = start[i + 1] if i + 1 < len(start) else None
             d, free, pushed = _particle_moves(u, cap, boundary, params, step, mutation)
             den *= d
             grown = []
-            for (prefix, _), weight in paths:
+            for prefix, weight in paths:
                 if not prefix:
                     moves = free
                 elif trigger:
@@ -202,7 +203,7 @@ def _step_distribution(
                     moves = pushed if prefix[-1] == u else free
                 for site, num in moves:
                     # only the last particle, which has no cap, can lump
-                    state = (prefix, 1) if site is None else (prefix + (site,), 0)
+                    state = prefix if site is None else prefix + (site,)
                     grown.append((state, weight * num))
             paths = grown
         g = math.gcd(den, *(weight for _, weight in paths))
@@ -219,7 +220,7 @@ def one_particle_kernel(x: int, y: int, params: Params) -> Fraction:
     (1-b1)(1-b2) b2^(y-x-1) past it.
     """
     law = _step_distribution((x,), params, y, +1, None)
-    return Fraction(dict(law.entries).get(((y,), 0), 0), law.den)
+    return Fraction(dict(law.entries).get((y,), 0), law.den)
 
 
 def forward_step_distribution(

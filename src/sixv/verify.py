@@ -20,8 +20,8 @@ Case labels over ℓ ≥ 2 (mutually exclusive and total):
     at_first            y_k = x_1
     at_second           y_k = x_2
     above_second        y_k not occupied and y_k > x_2
-    at_third_or_later   y_k = x_j for some j ≥ 3; covered by the duality
-                        check itself, no dedicated decomposition identity
+    at_third_or_later   y_k = x_j for some j ≥ 3; checked by the
+                        above_second split, which holds for every y_k > x_2
 """
 
 from __future__ import annotations
@@ -266,9 +266,9 @@ def check_case_identities(
     configurations; the linear combination on the right must match the full
     expectation on the left, as rationals.  ℓ ≤ 1 instances have no
     decomposition (they are the recursion's floor) and are skipped with a
-    reason.  The at_second / above_second combinations carry coefficients
-    that only factor out for site-independent parameters, so those checks
-    skip on inhomogeneous input.
+    reason.  The at_second combination and the above_second one, which also
+    serves at_third_or_later, carry coefficients that only factor out for
+    site-independent parameters, so those checks skip on inhomogeneous input.
     """
     x, y = validate_instance(x, y)
     if len(x) < 2:
@@ -300,16 +300,6 @@ def check_case_identities(
                 f"{name}_{side}", x, y, params, 1, "H", engine(x, y), rhs(engine), case
             )
             for side, engine in (("forward", fwd), ("reversed", rev))
-        ]
-
-    if case == "at_third_or_later":
-        # No displayed decomposition for y_k on the third or a later
-        # particle; the duality check itself covers these instances.
-        return [
-            _checked(
-                "duality", x, y, params, 1, "H", fwd(x, y), rev(x, y), case,
-                detail="no dedicated decomposition; checked via duality directly",
-            )
         ]
 
     if case == "separated":
@@ -352,7 +342,7 @@ def check_case_identities(
         )
         return reports + [link]
 
-    # above_second
+    # above_second or at_third_or_later: y_k > x_2, occupied or not
     xp, xpp = x[1:], x[2:]
     gap = b2 ** (x[1] - x[0])
     return split(
@@ -413,6 +403,9 @@ class SweepSpec:
     def from_json_obj(cls, obj: dict) -> "SweepSpec":
         if not isinstance(obj, dict):
             raise ValueError("a sweep spec must be a JSON object")
+        for key in ("max_ell", "max_k", "window", "params"):
+            if key not in obj:
+                raise ValueError(f"missing the {key!r} field")
         for key in ("window", "t_range", "kinds", "params"):
             if not isinstance(obj.get(key, []), list):
                 raise ValueError(f"{key} must be a JSON list, got {obj[key]!r}")

@@ -140,6 +140,19 @@ def coarsen_to_boundary(
     return {k: v for k, v in folded.items() if v}
 
 
+def by_positions(
+    law: dict[tuple[tuple[int, ...], int], Fraction], ell: int
+) -> dict[tuple[int, ...], Fraction]:
+    """A coarsened law of ``ell`` particles keyed by resolved positions alone.
+
+    Checks conservation on the way: every outcome lumps exactly the
+    ``ell - len(positions)`` particles it no longer resolves.
+    """
+    for positions, lumped in law:
+        assert lumped == ell - len(positions), (positions, lumped, ell)
+    return {positions: p for (positions, _), p in law.items()}
+
+
 def reflect_params(params: Params) -> Params:
     """Site-reflected parameters: b2 at site s becomes b2 at -s."""
     return Params(
@@ -246,10 +259,11 @@ def oracle_t_step_expectation(
 ) -> Fraction:
     """E^x[kind(x(t), y)] (side "forward") or E^y[kind(x, y(t))] ("reversed").
 
-    The lumped one-step laws are composed t times as a dict from
-    (positions, lumped) to a Fraction probability and contracted state by
-    state with the functional.  The lump boundary defaults to y_1 (forward)
-    or x_1 (reversed); initial positions beyond it start lumped.
+    The lumped one-step laws are composed t times as a dict from resolved
+    positions to a Fraction probability and contracted outcome by outcome
+    with the functional; an outcome with fewer positions than the start has
+    lumped the rest.  The lump boundary defaults to y_1 (forward) or x_1
+    (reversed); initial positions beyond it start lumped.
     """
     if not y:
         return Fraction(1)  # empty product
@@ -266,20 +280,19 @@ def oracle_t_step_expectation(
         boundary = x[0] if boundary is None else boundary
         kept = tuple(p for p in y if p >= boundary)
         start, step = y, reversed_step_distribution
-    law = {(kept, len(start) - len(kept)): Fraction(1)}
+    law = {kept: Fraction(1)}
     for _ in range(t):
-        composed: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for (positions, lumped), prob in law.items():
+        composed: dict[tuple[int, ...], Fraction] = {}
+        for positions, prob in law.items():
             one = step(positions, params, boundary, mutation)
-            for (moved, more), num in one.entries:
-                key = (moved, lumped + more)
-                composed[key] = composed.get(key, Fraction(0)) + prob * Fraction(num, one.den)
+            for moved, num in one.entries:
+                composed[moved] = composed.get(moved, Fraction(0)) + prob * Fraction(num, one.den)
         law = composed
     total = Fraction(0)
-    for (positions, lumped), prob in law.items():
+    for positions, prob in law.items():
         if side == "forward":
             total += prob * _functional_at_points(kind, positions, y, q)
-        elif not (lumped and kind == "H"):  # lumped dual points have g = 0
+        elif not (len(positions) < len(start) and kind == "H"):  # lumped dual points have g = 0
             total += prob * _functional_at_points(kind, x, positions, q)
     return total
 

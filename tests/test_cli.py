@@ -279,33 +279,45 @@ def _spec_text(**overrides) -> str:
     return json.dumps(spec)
 
 
+def _spec_without(field: str) -> str:
+    spec = json.loads(_spec_text())
+    del spec[field]
+    return json.dumps(spec)
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "{not json",
-        "[1]",
-        _spec_text(window=["0", "2"]),
-        _spec_text(window=[0.5, 2]),
-        _spec_text(kinds="HG"),
-        _spec_text(max_ell=2.5),
-        _spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": ["0"]}]),
-        _spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": {"1_0": "1/3"}}]),
-        _spec_text(params=[{"q": "1/2"}]),
-        _spec_text(params=[{"b2": "1/4"}]),
-        _spec_text(params=[{"q": "1/2", "b2": "1/4", "b2_sites": {"0": "1/3"}}]),
+        ("{not json", "spec"),
+        ("[1]", "spec"),
+        (_spec_text(window=["0", "2"]), "spec"),
+        (_spec_text(window=[0.5, 2]), "spec"),
+        (_spec_text(kinds="HG"), "spec"),
+        (_spec_text(max_ell=2.5), "spec"),
+        (_spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": ["0"]}]), "spec"),
+        (_spec_text(params=[{"q": "1/2", "b2_default": "1/4", "b2_sites": {"1_0": "1/3"}}]), "spec"),
+        (_spec_text(params=[{"q": "1/2"}]), "spec"),
+        (_spec_text(params=[{"b2": "1/4"}]), "spec"),
+        (_spec_text(params=[{"q": "1/2", "b2": "1/4", "b2_sites": {"0": "1/3"}}]), "spec"),
+        (_spec_without("max_ell"), "missing the 'max_ell' field"),
+        (_spec_without("max_k"), "missing the 'max_k' field"),
+        (_spec_without("window"), "missing the 'window' field"),
+        (_spec_without("params"), "missing the 'params' field"),
     ],
     ids=[
         "not-json", "json-list", "string-window", "float-window", "string-kinds",
         "float-max-ell", "list-b2-sites", "underscore-site-key",
         "missing-b2", "missing-q", "sites-without-default",
+        "missing-max-ell", "missing-max-k", "missing-window", "missing-params",
     ],
 )
-def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text):
+def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text, message):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(text)
     code, _, err = run_cli(capsys, "sweep", "--spec", str(spec_file))
     assert code == 2
     assert "spec" in err
+    assert message in err
 
 
 # --- simulate --------------------------------------------------------------------

@@ -208,13 +208,13 @@ def test_scaled_laws_keep_their_mass_in_lowest_terms(sites, t, params, reverse, 
     direction = -1 if reverse else +1
     for law in (
         one_step(positions, params, boundary, None),
-        _evolve((positions, 0), params, boundary, t, None, direction),
+        _evolve(positions, params, boundary, t, None, direction),
     ):
         assert _mass(law) == law.den
         assert math.gcd(law.den, *(num for _, num in law.entries)) == 1
     leaky = (
         one_step(positions, params, boundary, Mutation.LANDING_FACTOR),
-        _evolve((positions, 0), params, boundary, t, Mutation.LANDING_FACTOR, direction),
+        _evolve(positions, params, boundary, t, Mutation.LANDING_FACTOR, direction),
     )
     for law in leaky:
         # a pushed particle with a neighbour ahead loses mass on its
@@ -255,7 +255,7 @@ def test_two_steps_compose_from_one(x, y, kind, params):
     r = max(y[0], x[-1])
     total = Fraction(0)
     law = forward_step_distribution(x, params, r)
-    for (positions, _lumped), num in law.entries:
+    for positions, num in law.entries:
         total += Fraction(num, law.den) * expect_forward(positions, y, kind, 1, params)
     assert expect_forward(x, y, kind, 2, params) == total
 
@@ -275,8 +275,8 @@ def test_two_reversed_steps_compose_from_one(x, y, kind, params):
     length = min(y[-1], x[0])
     total = Fraction(0)
     law = reversed_step_distribution(y, params, length)
-    for (positions, lumped), num in law.entries:
-        if lumped and kind == "H":
+    for positions, num in law.entries:
+        if len(positions) < len(y) and kind == "H":
             continue  # dual points below x_1 stay there; H is dead
         total += Fraction(num, law.den) * expect_reversed(x, positions, kind, 1, params)
     assert expect_reversed(x, y, kind, 2, params) == total
@@ -290,6 +290,16 @@ def test_enlarging_the_lump_boundary_changes_nothing(x, y, kind, params, slack):
     if x:
         widened = expect_reversed(x, y, kind, 1, params, boundary=x[0] - slack)
         assert widened == base_r
+
+
+def test_starts_that_differ_only_in_the_lump_share_one_evolve_entry():
+    # at R = y_1 = 3 the particle at 5 starts lumped, and a lumped particle
+    # is a factor 1 in every functional: x = (0, 5) evolves as x = (0,)
+    for kind in ("H", "G", "D"):
+        alone = expect_forward((0,), (3,), kind, 2, P_HALF_QUARTER)
+        misses = _evolve.cache_info().misses
+        assert expect_forward((0, 5), (3,), kind, 2, P_HALF_QUARTER) == alone
+        assert _evolve.cache_info().misses == misses
 
 
 def test_lump_boundary_validation():

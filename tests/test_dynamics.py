@@ -20,8 +20,8 @@ from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
 P_HALF_QUARTER = Params.from_b1_b2("1/2", "1/4")
 
 
-def entries_dict(dist: ScaledLaw) -> dict[tuple[tuple[int, ...], int], Fraction]:
-    return {state: Fraction(num, dist.den) for state, num in dist.entries}
+def entries_dict(dist: ScaledLaw) -> dict[tuple[int, ...], Fraction]:
+    return {positions: Fraction(num, dist.den) for positions, num in dist.entries}
 
 
 def total_mass(dist: ScaledLaw) -> Fraction:
@@ -75,19 +75,19 @@ def test_one_particle_kernel_inhomogeneous_reads_sites():
 def test_forward_single_particle_frozen():
     dist = forward_step_distribution((0,), P_HALF_QUARTER, R=2)
     assert entries_dict(dist) == {
-        ((0,), 0): Fraction(1, 2),
-        ((1,), 0): Fraction(3, 8),
-        ((2,), 0): Fraction(3, 32),
-        ((), 1): Fraction(1, 32),
+        (0,): Fraction(1, 2),
+        (1,): Fraction(3, 8),
+        (2,): Fraction(3, 32),
+        (): Fraction(1, 32),
     }
 
 
 def test_forward_adjacent_pair_frozen():
     dist = forward_step_distribution((0, 1), P_HALF_QUARTER, R=1)
     assert entries_dict(dist) == {
-        ((0, 1), 0): Fraction(1, 4),
-        ((0,), 1): Fraction(1, 4),
-        ((1,), 1): Fraction(1, 2),
+        (0, 1): Fraction(1, 4),
+        (0,): Fraction(1, 4),
+        (1,): Fraction(1, 2),
     }
 
 
@@ -97,7 +97,7 @@ def test_pushed_particle_lands_interior():
     dist = forward_step_distribution((0, 1), P_HALF_QUARTER, R=4)
     d = entries_dict(dist)
     assert oracle.pushed_jump_prob(P_HALF_QUARTER, 1, 2, None) == Fraction(3, 4)
-    assert d[((1, 2), 0)] == Fraction(1, 2) * Fraction(3, 4)
+    assert d[(1, 2)] == Fraction(1, 2) * Fraction(3, 4)
 
 
 def test_forward_rejects_unsorted():
@@ -107,7 +107,7 @@ def test_forward_rejects_unsorted():
 
 def test_forward_all_beyond_boundary_is_single_lump():
     dist = forward_step_distribution((4, 6), P_HALF_QUARTER, R=3)
-    assert entries_dict(dist) == {((), 2): Fraction(1)}
+    assert entries_dict(dist) == {(): Fraction(1)}
 
 
 def test_forward_straddling_boundary_rejected():
@@ -117,7 +117,7 @@ def test_forward_straddling_boundary_rejected():
 
 def test_empty_configuration_steps_to_itself():
     dist = forward_step_distribution((), P_HALF_QUARTER, R=0)
-    assert entries_dict(dist) == {((), 0): Fraction(1)}
+    assert entries_dict(dist) == {(): Fraction(1)}
 
 
 @settings(max_examples=60)
@@ -126,7 +126,7 @@ def test_forward_matches_bruteforce_oracle(x, params, slack):
     r = (max(x) if x else 0) + slack
     zmax = r + 6
     outcomes, tails = oracle.oracle_forward_outcomes(x, params, zmax)
-    expected = oracle.coarsen_to_boundary(outcomes, tails, r)
+    expected = oracle.by_positions(oracle.coarsen_to_boundary(outcomes, tails, r), len(x))
     assert entries_dict(forward_step_distribution(x, params, r)) == expected
 
 
@@ -136,7 +136,7 @@ def test_forward_mass_and_exclusion(x, params, slack):
     r = (max(x) if x else 0) + slack
     dist = forward_step_distribution(x, params, r)
     assert total_mass(dist) == 1
-    for (moved, _lumped), _ in dist.entries:
+    for moved, _ in dist.entries:
         assert all(a < b for a, b in zip(moved, moved[1:]))
         for old, new in zip(x, moved):
             assert new >= old  # never left
@@ -150,12 +150,11 @@ def test_lumping_coarsens_consistently(x, params, slack, extra):
     r = (max(x) if x else 0) + slack
     fine = forward_step_distribution(x, params, r + extra)
     coarse = forward_step_distribution(x, params, r)
-    folded: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for (pos, lumped), p in entries_dict(fine).items():
+    folded: dict[tuple[int, ...], Fraction] = {}
+    for pos, p in entries_dict(fine).items():
         if pos and pos[-1] > r:
-            pos, lumped = pos[:-1], lumped + 1
-        key = (pos, lumped)
-        folded[key] = folded.get(key, Fraction(0)) + p
+            pos = pos[:-1]
+        folded[pos] = folded.get(pos, Fraction(0)) + p
     assert folded == entries_dict(coarse)
 
 
@@ -177,21 +176,23 @@ def test_homogeneous_site_map_agrees_with_scalar():
 def test_reversed_single_particle_mirror_frozen():
     dist = reversed_step_distribution((3,), P_HALF_QUARTER, L=1)
     assert entries_dict(dist) == {
-        ((3,), 0): Fraction(1, 2),
-        ((2,), 0): Fraction(3, 8),
-        ((1,), 0): Fraction(3, 32),
-        ((), 1): Fraction(1, 32),
+        (3,): Fraction(1, 2),
+        (2,): Fraction(3, 8),
+        (1,): Fraction(3, 32),
+        (): Fraction(1, 32),
     }
 
 
 def test_reversed_pair_against_negation_oracle():
     y = (3, 1)
-    expected = oracle.oracle_reversed_coarse(y, P_HALF_QUARTER, boundary=0, zmin=-4)
+    expected = oracle.by_positions(
+        oracle.oracle_reversed_coarse(y, P_HALF_QUARTER, boundary=0, zmin=-4), len(y)
+    )
     got = entries_dict(reversed_step_distribution(y, P_HALF_QUARTER, L=0))
     assert got == expected
     # the (2, 1) outcome spelled out: y_1 leaves 3 and lands interior on 2,
     # y_2 holds: (1-b1)(1-b2) * b1
-    assert got[((2, 1), 0)] == Fraction(1, 2) * Fraction(3, 4) * Fraction(1, 2)
+    assert got[(2, 1)] == Fraction(1, 2) * Fraction(3, 4) * Fraction(1, 2)
 
 
 @settings(max_examples=100)
@@ -203,7 +204,9 @@ def test_reversed_pair_against_negation_oracle():
 def test_reversed_matches_negation_oracle(ys, params, slack):
     y = tuple(sorted(ys, reverse=True))
     boundary = min(y) - slack
-    expected = oracle.oracle_reversed_coarse(y, params, boundary, zmin=boundary - 6)
+    expected = oracle.by_positions(
+        oracle.oracle_reversed_coarse(y, params, boundary, zmin=boundary - 6), len(y)
+    )
     got = entries_dict(reversed_step_distribution(y, params, boundary))
     assert got == expected
 
@@ -219,7 +222,7 @@ def test_reversed_mass_and_exclusion(ys, params, slack):
     boundary = min(y) - slack
     dist = reversed_step_distribution(y, params, boundary)
     assert total_mass(dist) == 1
-    for (moved, _lumped), _ in dist.entries:
+    for moved, _ in dist.entries:
         assert all(a > b for a, b in zip(moved, moved[1:]))
         for old, new in zip(y, moved):
             assert new <= old  # never right
@@ -237,7 +240,7 @@ def test_reversed_transpose_of_forward_kernel_homogeneous():
     dist = reversed_step_distribution((5,), p, L=0)
     d = entries_dict(dist)
     for v in range(0, 6):
-        assert d[((v,), 0)] == one_particle_kernel(v, 5, p)
+        assert d[(v,)] == one_particle_kernel(v, 5, p)
 
 
 # --- mutations ------------------------------------------------------------------
@@ -263,8 +266,8 @@ def test_push_trigger_mutation_changes_law():
     assert entries_dict(hurt) != entries_dict(clean)
     # concretely: after the first particle lands interior on 1, the second is
     # wrongly denied its hold branch, so the (1, 2) outcome disappears.
-    assert ((1, 2), 0) in entries_dict(clean)
-    assert ((1, 2), 0) not in entries_dict(hurt)
+    assert (1, 2) in entries_dict(clean)
+    assert (1, 2) not in entries_dict(hurt)
 
 
 @settings(max_examples=100)
@@ -278,10 +281,12 @@ def test_mutated_laws_match_the_mutated_oracle(sites, params, slack, mutation):
     x = tuple(sorted(sites))
     r = x[-1] + slack
     outcomes, tails = oracle.oracle_forward_outcomes(x, params, r + 6, mutation)
-    expected = oracle.coarsen_to_boundary(outcomes, tails, r)
+    expected = oracle.by_positions(oracle.coarsen_to_boundary(outcomes, tails, r), len(x))
     assert entries_dict(forward_step_distribution(x, params, r, mutation)) == expected
     y, boundary = x[::-1], x[0] - slack
-    expected = oracle.oracle_reversed_coarse(y, params, boundary, boundary - 6, mutation)
+    expected = oracle.by_positions(
+        oracle.oracle_reversed_coarse(y, params, boundary, boundary - 6, mutation), len(y)
+    )
     assert entries_dict(reversed_step_distribution(y, params, boundary, mutation)) == expected
 
 
@@ -292,25 +297,24 @@ def test_step_distribution_rejects_bad_totals_and_duplicates():
     # each defect the enumeration rules out, fed to the integer check of a law
     # lumped at 3 (forward, +1) or at 0 (reversed, -1)
     defects = [
-        (ScaledLaw(2, ((((0,), 0), 2), (((1,), 0), 0))), +1, False),  # zero mass
-        (ScaledLaw(2, ((((0,), 0), 3), (((1,), 0), -1))), +1, False),  # negative
-        (ScaledLaw(2, ((((0,), 0), 1), (((0,), 0), 1))), +1, False),  # duplicate
-        (ScaledLaw(1, ((((2, 1), 0), 1),)), +1, False),  # out of order
-        (ScaledLaw(1, ((((1, 2), 0), 1),)), -1, False),  # out of order, mirrored
-        (ScaledLaw(1, ((((5,), 0), 1),)), +1, False),  # resolved past R
-        (ScaledLaw(1, ((((-1,), 0), 1),)), -1, False),  # resolved past L
-        (ScaledLaw(1, ((((0,), -1), 1),)), +1, False),  # negative lumped count
-        (ScaledLaw(2, ((((0,), 0), 1),)), +1, False),  # total below den
-        (ScaledLaw(2, ((((0,), 0), 3),)), +1, True),  # above den, even leaking
+        (ScaledLaw(2, (((0,), 2), ((1,), 0))), +1, False),  # zero mass
+        (ScaledLaw(2, (((0,), 3), ((1,), -1))), +1, False),  # negative
+        (ScaledLaw(2, (((0,), 1), ((0,), 1))), +1, False),  # duplicate
+        (ScaledLaw(1, (((2, 1), 1),)), +1, False),  # out of order
+        (ScaledLaw(1, (((1, 2), 1),)), -1, False),  # out of order, mirrored
+        (ScaledLaw(1, (((5,), 1),)), +1, False),  # resolved past R
+        (ScaledLaw(1, (((-1,), 1),)), -1, False),  # resolved past L
+        (ScaledLaw(2, (((0,), 1),)), +1, False),  # total below den
+        (ScaledLaw(2, (((0,), 3),)), +1, True),  # above den, even leaking
         (ScaledLaw(0, ()), +1, False),  # no denominator
     ]
     for law, step, deficit in defects:
         with pytest.raises(ValueError):
             law.check(3 if step > 0 else 0, step, mass_deficit=deficit)
     # the same shapes without their defect pass
-    ScaledLaw(2, ((((0,), 0), 1), (((1,), 0), 1))).check(3, +1)
-    ScaledLaw(2, ((((2, 1), 0), 1), (((), 2), 1))).check(0, -1)
-    ScaledLaw(2, ((((0,), 0), 1),)).check(3, +1, mass_deficit=True)
+    ScaledLaw(2, (((0,), 1), ((1,), 1))).check(3, +1)
+    ScaledLaw(2, (((2, 1), 1), ((), 1))).check(0, -1)
+    ScaledLaw(2, (((0,), 1),)).check(3, +1, mass_deficit=True)
 
 
 # --- samplers --------------------------------------------------------------------
@@ -353,10 +357,10 @@ def test_sampler_matches_exact_distribution_within_4_sigma():
         counts[z] = counts.get(z, 0) + 1
     exact = entries_dict(forward_step_distribution((0,), p, R=6))
     for z in range(0, 7):
-        prob = float(exact[((z,), 0)])
+        prob = float(exact[(z,)])
         sigma = (prob * (1 - prob) / n) ** 0.5
         assert abs(counts.get(z, 0) / n - prob) < 4 * sigma
-    lump_prob = float(exact[((), 1)])
+    lump_prob = float(exact[()])
     lump_freq = sum(v for z, v in counts.items() if z > 6) / n
     sigma = (lump_prob * (1 - lump_prob) / n) ** 0.5
     assert abs(lump_freq - lump_prob) < 4 * sigma

@@ -304,12 +304,16 @@ def test_above_second_case():
     assert reports[1].lhs == Fraction(9, 256)
 
 
-def test_third_or_later_case_falls_back_to_the_duality_check():
-    (report,) = check_case_identities((0, 1, 3), (3,), P_HALF_QUARTER)
-    assert report.identity == "duality"
-    assert report.case == "at_third_or_later"
-    assert report.verdict == "pass"
-    assert report.lhs == Fraction(25, 256)
+def test_third_or_later_case_takes_the_above_second_split():
+    reports = check_case_identities((0, 1, 3), (3,), P_HALF_QUARTER)
+    assert [r.identity for r in reports] == [
+        "above_second_split_forward",
+        "above_second_split_reversed",
+    ]
+    assert all(r.case == "at_third_or_later" for r in reports)
+    assert all(r.verdict == "pass" for r in reports)
+    assert reports[0].lhs == Fraction(25, 256)
+    assert reports[1].lhs == Fraction(25, 256)
 
 
 def test_site_dependent_parameters_split_by_case():
@@ -325,6 +329,8 @@ def test_site_dependent_parameters_split_by_case():
     assert skip_b.verdict == "skip" and "at_second" in skip_b.detail
     (skip_c,) = check_case_identities((0, 1), (3,), INHOM)
     assert skip_c.verdict == "skip" and "above_second" in skip_c.detail
+    (skip_d,) = check_case_identities((0, 1, 3), (3,), INHOM)
+    assert skip_d.verdict == "skip" and "at_third_or_later" in skip_d.detail
 
 
 @settings(max_examples=60)
