@@ -17,7 +17,7 @@ fixed x.  The direction is data: ``step`` is +1 forward and -1 reversed,
 and it picks the step law, the lump boundary's side and which argument of
 the functional moves.
 
-Exact expectations compose the lumped one-step laws from
+Exact expectations advance lumped laws with the row update of
 :mod:`sixv.dynamics`.  The lump boundaries are chosen so that lumped
 particles contribute a constant factor to every functional: forward
 particles beyond R = y_1 sit right of every evaluation point, reversed
@@ -26,10 +26,11 @@ and D).  Nothing is truncated; every result is an exact rational.  An
 outcome of a law is its resolved positions: particles are conserved, so
 ℓ − len(positions) of the ℓ moving ones are lumped.
 
-The engine works in scaled integers.  Each cached one-step law is a
-:class:`~sixv.dynamics.ScaledLaw`, one lcm denominator over integer
-numerators; t-step laws compose those in a loop with integer multiplies
-and adds, reduced by their gcd after every step.  Contraction uses that
+The engine works in scaled integers.  Every law is a
+:class:`~sixv.dynamics.ScaledLaw`, one denominator over integer numerators.
+A t-step law is t row scans of the whole law in a loop
+(:func:`~sixv.dynamics._scan`), each with integer multiplies and adds,
+reduced by its gcd and checked after every step.  Contraction uses that
 every functional is 0 or q^(-m) for an integer m: numerators are summed
 per m, and one Fraction is built per expectation from q = a/b at the end.
 
@@ -52,6 +53,7 @@ from sixv.dynamics import (
     ScaledLaw,
     State,
     _sample_step,
+    _scan,
     _step_distribution,
     trajectory_rng,
 )
@@ -211,28 +213,13 @@ def _evolve(
 ) -> ScaledLaw:
     """t-step law from the resolved positions ``state``, in lowest terms.
 
-    Starts that differ only in what is lumped share one entry.  The steps
-    compose in a loop, so no horizon is too long for the stack.
+    Starts that differ only in what is lumped share one entry.  Each step
+    is one :func:`~sixv.dynamics._scan` of the whole law, in a loop, so no
+    horizon is too long for the stack.
     """
-    one_step = _forward_entries if step > 0 else _reversed_entries
     law = ScaledLaw(1, ((state, 1),))
     for _ in range(t):
-        laws = [
-            (num, one_step(positions, params, boundary, mutation))
-            for positions, num in law.entries
-        ]
-        scale = math.lcm(*(one.den for _, one in laws))
-        acc: dict[State, int] = {}
-        for num, one in laws:
-            weight = num * (scale // one.den)
-            for positions, p in one.entries:
-                acc[positions] = acc.get(positions, 0) + weight * p
-        den = law.den * scale
-        g = math.gcd(den, *acc.values())
-        if g > 1:
-            law = ScaledLaw(den // g, tuple((key, p // g) for key, p in acc.items()))
-        else:
-            law = ScaledLaw(den, tuple(acc.items()))
+        law = _scan(law, params, boundary, step, mutation)
     return law
 
 

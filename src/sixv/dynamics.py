@@ -21,19 +21,24 @@ distribution stays finite and exactly rational — nothing is truncated.
 The dynamics conserve particles, so an outcome is its resolved positions
 alone: from ℓ particles, ℓ − len(positions) are lumped.
 
-A one-step law is enumerated the way the row update is taken: one scan
-over the particles in update order, one particle at a time.  Each
-particle's moves are built once per law as two integer lists over one
-denominator, free (hold with b1, then each landing) and pushed (landings
-only), and every partial path is extended by an integer multiply.  Distinct
-paths end in distinct outcomes, so nothing is merged; the finished law is
-reduced by its gcd.
+Every law is advanced the way the row update is taken: one scan over the
+particles in update order, one particle at a time, applied to the whole law
+at once (:func:`_scan`).  A partial state is the new positions of the
+particles already updated, the old positions of the rest and whether the
+next particle is pushed; partial states that agree on all three are merged,
+so a step of a t-step law costs one pass per particle over the merged
+states, not one enumeration per outcome.  The moves of a particle at a
+given (position, cap) are two integer lists over one denominator, free
+(hold with b1, then each landing) and pushed (landings only); each pair is
+built and checked once and cached, and a pass brings the pairs it uses to
+the lcm of their denominators.  A one-step law is the scan of a one-entry
+law.
 
 Every law is a :class:`ScaledLaw`: one denominator over integer numerators
-in lowest terms, keyed by resolved positions; the t-step engine in
-:mod:`sixv.duality` composes these directly.  The public
-``*_step_distribution`` functions validate their input; the shared
-enumeration takes configurations that are already checked.
+in lowest terms, keyed by resolved positions, checked after every scan;
+the t-step engine in :mod:`sixv.duality` scans its law t times.  The public
+``*_step_distribution`` functions validate their input; the scan takes
+configurations that are already checked.
 
 The sampler draws the row update itself.  It compares each ``random()``
 draw with an exact float threshold rather than with a Fraction, and the
@@ -44,9 +49,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import random
+from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from sixv.model import (
@@ -85,15 +93,15 @@ class ScaledLaw(NamedTuple):
 
     One-step and t-step laws alike.  An outcome is its resolved positions;
     particles are conserved, so an outcome of a law from ℓ particles has
-    ℓ − len(positions) lumped past the boundary.  :meth:`check` holds a
-    one-step law to the rules its enumeration guarantees.
+    ℓ − len(positions) lumped past the boundary.  :meth:`check` holds each
+    law a scan builds to the rules the scan guarantees.
     """
 
     den: int
     entries: tuple[tuple[State, int], ...]
 
     def check(self, boundary: int, step: int, mass_deficit: bool = False) -> None:
-        """Reject anything but a lumped one-step law in the ``step`` direction.
+        """Reject anything but a lumped law in the ``step`` direction.
 
         Numerators are positive, outcomes unique, resolved positions strictly
         ordered along ``step`` (+1: increasing, -1: decreasing) with none
@@ -105,13 +113,14 @@ class ScaledLaw(NamedTuple):
             raise ValueError(f"denominator {self.den} must be positive")
         seen: set[State] = set()
         total = 0
+        in_order = operator.lt if step > 0 else operator.gt
         for positions, num in self.entries:
             if num <= 0:
                 raise ValueError(f"non-positive numerator {num} for {positions}")
             if positions in seen:
                 raise ValueError(f"duplicate outcome {positions}")
             seen.add(positions)
-            if any((b - a) * step <= 0 for a, b in zip(positions, positions[1:])):
+            if not all(map(in_order, positions, positions[1:])):
                 raise ValueError(f"outcome positions out of order: {positions}")
             if positions and (positions[-1] - boundary) * step > 0:
                 raise ValueError(f"resolved position crosses the lump boundary: {positions}")
@@ -120,6 +129,7 @@ class ScaledLaw(NamedTuple):
             raise ValueError(f"numerators sum to {total}, not den = {self.den}")
 
 
+@lru_cache(maxsize=None)
 def _particle_moves(
     u: int,
     cap: int | None,
@@ -127,14 +137,15 @@ def _particle_moves(
     params: Params,
     step: int,
     mutation: Mutation | None,
-) -> tuple[int, list[tuple[int | None, int]], list[tuple[int | None, int]]]:
+) -> tuple[int, tuple[tuple[int | None, int], ...], tuple[tuple[int | None, int], ...]]:
     """One particle's moves, both lists over one integer denominator.
 
     Returns ``(den, free, pushed)``: ``free`` holds at u first, then
-    departs; ``pushed`` must leave u.  Each is a list of (site, numerator)
+    departs; ``pushed`` must leave u.  Each is a tuple of (site, numerator)
     in walk order, and site None is the lump past ``boundary``.  ``cap`` is
     the pre-update position of the next particle (None for the last one),
-    which lies inside the boundary whenever the enumeration runs.
+    which lies inside the boundary whenever the scan runs.  Cached, so each
+    list is built and checked (:func:`_check_moves`) once per process.
     """
     # landings given departure: (site, numerator, running b2 denominator)
     walk: list[tuple[int | None, int, int]] = []
@@ -155,11 +166,101 @@ def _particle_moves(
     walk_den = pushed_walk[-1][2]  # every other walk denominator divides it
     b1 = params.b1_at(u)
     hold, hold_den = b1.numerator, b1.denominator
-    free = [(u, hold * walk_den)] + [
+    free = ((u, hold * walk_den),) + tuple(
         (site, (hold_den - hold) * num * (walk_den // d)) for site, num, d in free_walk
-    ]
-    pushed = [(site, hold_den * num * (walk_den // d)) for site, num, d in pushed_walk]
-    return hold_den * walk_den, free, pushed
+    )
+    pushed = tuple((site, hold_den * num * (walk_den // d)) for site, num, d in pushed_walk)
+    den = hold_den * walk_den
+    for moves in (free, pushed):
+        _check_moves(den, moves, u, cap, boundary, step, mutation is Mutation.LANDING_FACTOR)
+    return den, free, pushed
+
+
+def _check_moves(
+    den: int,
+    moves: tuple[tuple[int | None, int], ...],
+    u: int,
+    cap: int | None,
+    boundary: int,
+    step: int,
+    mass_deficit: bool,
+) -> None:
+    """Reject a move list of the particle at u that the scan could not trust.
+
+    Numerators are positive, sites strictly ordered along ``step`` from u
+    on with none past ``boundary``, the lump (site None) is only the last
+    move of a particle with no cap, and the numerators sum to exactly
+    ``den``; to at most ``den`` when ``mass_deficit`` is set.
+    """
+    total, last = 0, u - step
+    for k, (site, num) in enumerate(moves):
+        if num <= 0:
+            raise ValueError(f"non-positive numerator {num} for a move to {site}")
+        if site is None:
+            if cap is not None or k + 1 < len(moves):
+                raise ValueError(f"only the last move of an uncapped particle lumps: {moves}")
+        elif (site - last) * step <= 0 or (site - boundary) * step > 0:
+            raise ValueError(f"moves out of order or past the boundary: {moves}")
+        else:
+            last = site
+        total += num
+    if total > den or (total < den and not mass_deficit):
+        raise ValueError(f"moves sum to {total}, not den = {den}")
+
+
+def _scan(
+    law: ScaledLaw,
+    params: Params,
+    boundary: int,
+    step: int,
+    mutation: Mutation | None,
+) -> ScaledLaw:
+    """One row update of every outcome of ``law``, particle by particle.
+
+    Pass i updates particle i.  A partial state is keyed by its positions,
+    new up to i and old from i on, and by whether particle i is pushed: its
+    predecessor landed on its position, or under ``PUSH_TRIGGER`` merely
+    moved, which the positions cannot tell.  Equal keys merge.  A state
+    with no particle left passes through.  Each pass reads the moves of
+    each distinct (position, cap) once and brings them to the lcm of their
+    denominators.  The result is reduced by its gcd and checked
+    (:meth:`ScaledLaw.check`).  Every outcome must lie inside ``boundary``
+    and be ordered along ``step``.
+    """
+    trigger = mutation is Mutation.PUSH_TRIGGER
+    den = law.den
+    partial: dict[tuple[State, bool], int] = {(state, False): num for state, num in law.entries}
+    for i in range(max((len(state) for state, _ in law.entries), default=0)):
+        done: list[tuple[State, int]] = []
+        groups: defaultdict[tuple[int, int | None], list] = defaultdict(list)
+        for (state, is_pushed), weight in partial.items():
+            if len(state) <= i:
+                done.append((state, weight))
+            else:
+                cap = state[i + 1] if i + 1 < len(state) else None
+                groups[state[i], cap].append((state, is_pushed, weight))
+        built = {pair: _particle_moves(*pair, boundary, params, step, mutation) for pair in groups}
+        scale = math.lcm(*(d for d, _, _ in built.values()))
+        grown: defaultdict[tuple[State, bool], int] = defaultdict(int)
+        for state, weight in done:
+            grown[state, False] += weight * scale
+        for (u, cap), members in groups.items():
+            d, free, pushed = built[u, cap]
+            for state, is_pushed, weight in members:
+                weight *= scale // d
+                head, tail = state[:i], state[i + 1 :]
+                for site, num in pushed if is_pushed else free:
+                    if site is None:  # only the last particle, which has no cap, can lump
+                        grown[head, False] += weight * num
+                    else:
+                        pushes = cap is not None and (site != u if trigger else site == cap)
+                        grown[head + (site,) + tail, pushes] += weight * num
+        partial = grown
+        den *= scale
+    g = math.gcd(den, *partial.values())
+    law = ScaledLaw(den // g, tuple((state, num // g) for (state, _), num in partial.items()))
+    law.check(boundary, step, mass_deficit=mutation is Mutation.LANDING_FACTOR)
+    return law
 
 
 def _step_distribution(
@@ -169,47 +270,20 @@ def _step_distribution(
     step: int,
     mutation: Mutation | None,
 ) -> ScaledLaw:
-    """Shared forward/reversed enumeration; ``step`` fixes the direction.
+    """Shared forward/reversed one-step law; ``step`` fixes the direction.
 
-    One scan over the particles in update order extends every partial path
-    by each move of the next particle.  Distinct paths end in distinct
-    outcomes, so the paths are the law, in depth-first order; it is reduced
-    by its gcd and checked (:meth:`ScaledLaw.check`).  ``start`` must
-    already be ordered along ``step``.
+    The :func:`_scan` of the one-entry law at ``start``, which must already
+    be ordered along ``step``; a start wholly past the boundary is the one
+    lumped outcome ().
     """
     beyond = [(p - boundary) * step > 0 for p in start]
-    if any(beyond):
-        if not all(beyond):
-            raise ValueError(
-                "initial positions straddle the lump boundary; move the boundary "
-                f"past {start}"
-            )
-        law = ScaledLaw(1, (((), 1),))
-    else:
-        trigger = mutation is Mutation.PUSH_TRIGGER
-        den = 1
-        paths: list[tuple[State, int]] = [((), 1)]
-        for i, u in enumerate(start):
-            cap = start[i + 1] if i + 1 < len(start) else None
-            d, free, pushed = _particle_moves(u, cap, boundary, params, step, mutation)
-            den *= d
-            grown = []
-            for prefix, weight in paths:
-                if not prefix:
-                    moves = free
-                elif trigger:
-                    moves = pushed if prefix[-1] != start[i - 1] else free
-                else:
-                    moves = pushed if prefix[-1] == u else free
-                for site, num in moves:
-                    # only the last particle, which has no cap, can lump
-                    state = prefix if site is None else prefix + (site,)
-                    grown.append((state, weight * num))
-            paths = grown
-        g = math.gcd(den, *(weight for _, weight in paths))
-        law = ScaledLaw(den // g, tuple((state, weight // g) for state, weight in paths))
-    law.check(boundary, step, mass_deficit=mutation is Mutation.LANDING_FACTOR)
-    return law
+    if any(beyond) and not all(beyond):
+        raise ValueError(
+            "initial positions straddle the lump boundary; move the boundary "
+            f"past {start}"
+        )
+    resolved = () if any(beyond) else start
+    return _scan(ScaledLaw(1, ((resolved, 1),)), params, boundary, step, mutation)
 
 
 def one_particle_kernel(x: int, y: int, params: Params) -> Fraction:

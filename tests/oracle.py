@@ -7,10 +7,11 @@ analytic geometric remainder past a truncation site.  No lumping, no
 incremental walk: a deliberately different code path from the package's
 enumeration engine, so agreement is evidence rather than tautology.
 
-The one exception is :func:`oracle_t_step_expectation`, which reuses the
-package's one-step laws (checked against the closed forms above) and
-composes them in plain ``Fraction`` arithmetic: it is the reference for the
-engine's scaled-integer composition and contraction.
+The one exception is :func:`oracle_t_step_law` (and the expectation
+:func:`oracle_t_step_expectation` built on it), which reuses the package's
+one-step laws (checked against the closed forms above) and composes them
+state by state in plain ``Fraction`` arithmetic: it is the reference for
+the engine's whole-law scan, its scaled integers and its contraction.
 
 :func:`oracle_sample_step` is the sampler that compares every draw with a
 ``Fraction``: the reference for the package's float-threshold sampler,
@@ -247,6 +248,32 @@ def oracle_reversed_expectation_one_step(
     return total
 
 
+def oracle_t_step_law(
+    start: tuple[int, ...],
+    params: Params,
+    boundary: int,
+    t: int,
+    step: int,
+    mutation: Mutation | None = None,
+) -> dict[tuple[int, ...], Fraction]:
+    """The t-step law from the resolved positions ``start``, state by state.
+
+    The lumped one-step law of each outcome (forward for step +1, reversed
+    for -1) is weighted by the outcome's ``Fraction`` probability and summed
+    into the next law, t times.
+    """
+    one_step = forward_step_distribution if step > 0 else reversed_step_distribution
+    law = {start: Fraction(1)}
+    for _ in range(t):
+        composed: dict[tuple[int, ...], Fraction] = {}
+        for positions, prob in law.items():
+            one = one_step(positions, params, boundary, mutation)
+            for moved, num in one.entries:
+                composed[moved] = composed.get(moved, Fraction(0)) + prob * Fraction(num, one.den)
+        law = composed
+    return law
+
+
 def oracle_t_step_expectation(
     side: str,
     x: tuple[int, ...],
@@ -259,8 +286,7 @@ def oracle_t_step_expectation(
 ) -> Fraction:
     """E^x[kind(x(t), y)] (side "forward") or E^y[kind(x, y(t))] ("reversed").
 
-    The lumped one-step laws are composed t times as a dict from resolved
-    positions to a Fraction probability and contracted outcome by outcome
+    The law of :func:`oracle_t_step_law`, contracted outcome by outcome
     with the functional; an outcome with fewer positions than the start has
     lumped the rest.  The lump boundary defaults to y_1 (forward) or x_1
     (reversed); initial positions beyond it start lumped.
@@ -271,7 +297,7 @@ def oracle_t_step_expectation(
     if side == "forward":
         boundary = y[0] if boundary is None else boundary
         kept = tuple(p for p in x if p <= boundary)
-        start, step = x, forward_step_distribution
+        start, step = x, +1
     else:
         if not x:
             # the engines' convention: without particles every g factor is 0
@@ -279,17 +305,9 @@ def oracle_t_step_expectation(
             return Fraction(0) if kind == "H" else Fraction(1)
         boundary = x[0] if boundary is None else boundary
         kept = tuple(p for p in y if p >= boundary)
-        start, step = y, reversed_step_distribution
-    law = {kept: Fraction(1)}
-    for _ in range(t):
-        composed: dict[tuple[int, ...], Fraction] = {}
-        for positions, prob in law.items():
-            one = step(positions, params, boundary, mutation)
-            for moved, num in one.entries:
-                composed[moved] = composed.get(moved, Fraction(0)) + prob * Fraction(num, one.den)
-        law = composed
+        start, step = y, -1
     total = Fraction(0)
-    for positions, prob in law.items():
+    for positions, prob in oracle_t_step_law(kept, params, boundary, t, step, mutation).items():
         if side == "forward":
             total += prob * _functional_at_points(kind, positions, y, q)
         elif not (len(positions) < len(start) and kind == "H"):  # lumped dual points have g = 0

@@ -109,6 +109,22 @@ def test_check_prints_values_past_the_digit_limit(capsys):
 
 
 @pytest.mark.parametrize(
+    "x,y,t,value",
+    [
+        # the benchmark's check-long instance and its stored reference value
+        ("0,1,2,3", "12,8,5", "6", "2731356776468313/147573952589676412928"),
+        # five particles: the value the state-by-state composition gave
+        ("0,2,4,6,8", "16,12,8,4", "3", "2275157079/18446744073709551616"),
+    ],
+)
+def test_check_long_horizon_values(capsys, x, y, t, value):
+    code, out, _ = run_cli(capsys, "check", "--x", x, "--y", y, "--kind", "H", "--t", t)
+    assert code == 0
+    (report,) = [json.loads(line) for line in out.splitlines()]
+    assert (report["lhs"], report["rhs"], report["verdict"]) == (value, value, "pass")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("check", "--x", "1,0", "--y", "1"),            # unordered x

@@ -187,6 +187,36 @@ def test_scaled_engine_matches_fraction_reference(x, y, kind, t, params, mutatio
         )
 
 
+@settings(max_examples=150)
+@given(
+    sites=st.lists(st.integers(min_value=-2, max_value=4), unique=True, max_size=3),
+    t=st.integers(min_value=0, max_value=3),
+    params=reference_params,
+    mutation=mutations,
+    reverse=st.booleans(),
+    slack=st.integers(min_value=-1, max_value=2),
+)
+# a push trigger at t = 2 from two and three particles, site-dependent b2
+@example([0, 1], 2, P_HALF_QUARTER, Mutation.PUSH_TRIGGER, False, 1)
+@example([0, 1, 2], 2, cycled_inhom_params(-4, 8), Mutation.PUSH_TRIGGER, True, 0)
+# the last particle starts lumped; the laws then mix lengths
+@example([-1, 1, 4], 3, P_HALF_QUARTER, None, False, -1)
+def test_evolve_law_matches_the_state_by_state_composition(
+    sites, t, params, mutation, reverse, slack
+):
+    # the engine scans the whole law once per step; the oracle composes the
+    # one-step law of each outcome on its own.  A slack of -1 puts the
+    # boundary inside the start, which then starts partly lumped.
+    step = -1 if reverse else +1
+    start = tuple(sorted(sites, reverse=reverse))
+    boundary = step * (max((step * p for p in start), default=0) + slack)
+    kept = tuple(p for p in start if (p - boundary) * step <= 0)
+    law = _evolve(kept, params, boundary, t, mutation, step)
+    expected = oracle.oracle_t_step_law(kept, params, boundary, t, step, mutation)
+    assert len(law.entries) == len(expected)
+    assert {positions: Fraction(num, law.den) for positions, num in law.entries} == expected
+
+
 def _mass(law):
     return sum(num for _, num in law.entries)
 

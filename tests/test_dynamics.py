@@ -9,6 +9,7 @@ import oracle
 from sixv.dynamics import (
     Mutation,
     ScaledLaw,
+    _check_moves,
     _sample_step,
     forward_step_distribution,
     one_particle_kernel,
@@ -315,6 +316,31 @@ def test_step_distribution_rejects_bad_totals_and_duplicates():
     ScaledLaw(2, (((0,), 1), ((1,), 1))).check(3, +1)
     ScaledLaw(2, (((2, 1), 1), ((), 1))).check(0, -1)
     ScaledLaw(2, (((0,), 1),)).check(3, +1, mass_deficit=True)
+
+
+def test_move_lists_are_checked_as_they_are_built():
+    # each defect a move list cannot have, for a particle at u = 0 with the
+    # lump boundary at 3 (forward, +1) or at -3 (reversed, -1)
+    defects = [
+        (2, ((0, 2), (1, 0)), 1, +1, False),  # zero mass
+        (2, ((1, 1), (0, 1)), 2, +1, False),  # out of order
+        (2, ((0, 1), (1, 1)), -2, -1, False),  # out of order, mirrored
+        (2, ((-1, 1), (1, 1)), 2, +1, False),  # behind the particle
+        (2, ((0, 1), (4, 1)), None, +1, False),  # past the boundary
+        (2, ((0, 1), (None, 1)), 2, +1, False),  # lumps with a cap ahead
+        (2, ((None, 1), (1, 1)), None, +1, False),  # lumps before the last move
+        (3, ((0, 1), (1, 1)), 2, +1, False),  # total below den
+        (1, ((0, 1), (1, 1)), 2, +1, True),  # above den, even leaking
+    ]
+    for den, moves, cap, step, deficit in defects:
+        with pytest.raises(ValueError):
+            _check_moves(den, moves, 0, cap, 3 * step, step, deficit)
+    # the same shapes without their defect pass
+    _check_moves(2, ((0, 1), (1, 1)), 0, 2, 3, +1, False)
+    _check_moves(2, ((0, 1), (-1, 1)), 0, -2, -3, -1, False)
+    _check_moves(2, ((0, 1), (3, 1)), 0, None, 3, +1, False)
+    _check_moves(2, ((0, 1), (None, 1)), 0, None, 3, +1, False)
+    _check_moves(3, ((0, 1), (1, 1)), 0, 2, 3, +1, True)
 
 
 # --- samplers --------------------------------------------------------------------

@@ -17,6 +17,7 @@ from sixv.duality import (
 )
 from sixv.dynamics import (
     Mutation,
+    _particle_moves,
     forward_step_distribution,
     reversed_step_distribution,
 )
@@ -495,12 +496,13 @@ def test_public_entry_points_reject_malformed_configurations(entry, side, defect
 
 def test_inverted_q_reuses_the_clean_laws():
     # INVERTED_Q changes only the q of the contraction, so a run of it after
-    # a clean run of the same instances builds no step law or t-step law
+    # a clean run of the same instances builds no move list, step law or
+    # t-step law
     spec = SweepSpec(
         max_ell=2, max_k=2, window=(0, 3), t_range=(1, 2),
         params_list=(P_HALF_QUARTER,), kinds=("H", "G", "D"),
     )
-    caches = (_evolve, _forward_entries, _reversed_entries)
+    caches = (_evolve, _forward_entries, _reversed_entries, _particle_moves)
     clean = run_sweep(spec)
     misses = [cache.cache_info().misses for cache in caches]
     inverted = run_sweep(spec, mutation=Mutation.INVERTED_Q)
