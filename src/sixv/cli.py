@@ -176,7 +176,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     else:
         side, step = "reversed", -1
         current = _parse_positions(ns.y, descending=True, flag="--y")
-    rng = trajectory_rng(ns.seed, 0)
+    rng = trajectory_rng(ns.seed)
     rows = [current]
     for _ in range(ns.t):
         current = _sample_step(current, params, step, rng)

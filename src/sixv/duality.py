@@ -350,9 +350,9 @@ def mc_expectation(
 ) -> ExpectationResult:
     """Monte Carlo estimate of the same expectations, with standard error.
 
-    Each trajectory uses an independent generator derived from
-    (seed, trajectory index), so results are reproducible and independent
-    of evaluation order.  t = 0 short-circuits to the exact value.
+    Every trajectory draws in turn from the one generator that ``seed``
+    fixes (:func:`~sixv.dynamics.trajectory_rng`), so a seed reproduces
+    the estimate.  t = 0 short-circuits to the exact value.
     """
     _require_kind(kind)
     step = _step_of(side)
@@ -368,12 +368,12 @@ def mc_expectation(
         )
     moving, fixed = _oriented(step, x, y)
     # the functional's float value per exponent m met (None: it vanishes);
-    # float(Fraction) rounds correctly, as float(_functional_at_points) did
+    # float(Fraction) rounds correctly
     power: dict[int | None, float] = {None: 0.0}
     total = 0.0
     total_sq = 0.0
-    for i in range(n_samples):
-        rng = trajectory_rng(seed, i)
+    rng = trajectory_rng(seed)
+    for _ in range(n_samples):
         current = moving
         for _ in range(t):
             current = _sample_step(current, params, step, rng)

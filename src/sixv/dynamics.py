@@ -47,7 +47,6 @@ two tests agree on every draw (:func:`_sample_step`).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 import random
@@ -326,10 +325,9 @@ def reversed_step_distribution(
 # --- samplers -----------------------------------------------------------------
 
 
-def trajectory_rng(seed: int, stream: int | str) -> random.Random:
-    """Independent generator for (seed, stream): reproducible and splittable."""
-    digest = hashlib.sha256(f"{seed}:{stream}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+def trajectory_rng(seed: int) -> random.Random:
+    """A run's one generator, seeded by str(seed): Random(-7) would draw Random(7)'s stream."""
+    return random.Random(str(seed))
 
 
 def _sample_step(

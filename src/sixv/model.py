@@ -114,8 +114,8 @@ class Params:
     pass-through probability and ``b2_sites`` lists ``(site, value)``
     overrides; ``b1`` at a site is always derived as ``q * b2_at(site)``,
     so the coupling b1 = q*b2 holds by construction.  Use
-    :meth:`from_b1_b2` to build from explicit b1 values (it rejects inputs
-    where the coupling fails at any declared site).
+    :meth:`from_b1_b2` to build homogeneous parameters from explicit b1
+    and b2.
 
     ``hold_thresholds`` and ``stop_thresholds`` are derived, not fields (so
     they stay out of equality and hashing): ``(by_site, default)`` pairs of
@@ -160,30 +160,13 @@ class Params:
         return cls(q=parse_rational(q), b2=parse_rational(b2))
 
     @classmethod
-    def from_b1_b2(
-        cls,
-        b1: Fraction | str,
-        b2: Fraction | str,
-        b1_sites: Mapping[int, Fraction] | None = None,
-        b2_sites: Mapping[int, Fraction] | None = None,
-    ) -> "Params":
-        """Build from explicit b1/b2, enforcing b1 = q*b2 at every site."""
+    def from_b1_b2(cls, b1: Fraction | str, b2: Fraction | str) -> "Params":
+        """Homogeneous parameters from explicit b1 and b2, with q = b1/b2."""
         b1 = parse_rational(b1)
         b2 = parse_rational(b2)
         _check_prob_open("b1", b1)
         _check_prob_open("b2", b2)
-        q = b1 / b2
-        b1_sites = dict(b1_sites or {})
-        b2_sites = dict(b2_sites or {})
-        for site in sorted(set(b1_sites) | set(b2_sites)):
-            want_b1 = b1_sites.get(site, b1)
-            have_b2 = b2_sites.get(site, b2)
-            if want_b1 != q * have_b2:
-                raise ValueError(
-                    f"b1 at site {site} is {want_b1}, but q*b2 = {q * have_b2}; "
-                    f"sites must share the ratio q = {q}"
-                )
-        return cls(q=q, b2=b2, b2_sites=tuple(sorted(b2_sites.items())))
+        return cls(q=b1 / b2, b2=b2)
 
     @property
     def b1(self) -> Fraction:
@@ -212,16 +195,28 @@ class Params:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Params":
+        """Parse what :meth:`to_json_obj` writes; any other field is an error."""
         q = _rational_field(obj, "q")
         if "b2_sites" in obj:
             if not isinstance(obj["b2_sites"], Mapping):
                 raise ValueError(f"b2_sites must be a JSON object, got {obj['b2_sites']!r}")
             default = _rational_field(obj, "b2_default")
+            _reject_unread(obj, ("q", "b2_default", "b2_sites"), "parameters with b2_sites")
             sites = tuple(
                 sorted((_site_key(k), parse_rational(v)) for k, v in obj["b2_sites"].items())
             )
             return cls(q=q, b2=default, b2_sites=sites)
-        return cls(q=q, b2=_rational_field(obj, "b2"))
+        b2 = _rational_field(obj, "b2")
+        _reject_unread(obj, ("q", "b2"), "parameters")
+        return cls(q=q, b2=b2)
+
+
+def _reject_unread(obj: Mapping, fields: Iterable[str], what: str) -> None:
+    """Reject a JSON object with any key outside ``fields``, naming each one."""
+    unread = sorted(repr(key) for key in obj if key not in fields)
+    if unread:
+        plural = "s" if len(unread) > 1 else ""
+        raise ValueError(f"unknown field{plural} {', '.join(unread)} in {what}")
 
 
 def _rational_field(obj: Mapping, name: str) -> Fraction:

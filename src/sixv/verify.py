@@ -41,6 +41,7 @@ from sixv.duality import (
 )
 from sixv.model import (
     Params,
+    _reject_unread,
     format_rational,
     validate_instance,
     validate_location,
@@ -406,6 +407,9 @@ class SweepSpec:
         for key in ("max_ell", "max_k", "window", "params"):
             if key not in obj:
                 raise ValueError(f"missing the {key!r} field")
+        _reject_unread(
+            obj, ("max_ell", "max_k", "window", "t_range", "kinds", "params"), "the sweep spec"
+        )
         for key in ("window", "t_range", "kinds", "params"):
             if not isinstance(obj.get(key, []), list):
                 raise ValueError(f"{key} must be a JSON list, got {obj[key]!r}")

@@ -7,6 +7,7 @@ import pytest
 
 import sixv
 from sixv.cli import main
+from sixv.duality import mc_expectation
 from sixv.model import Params
 from sixv.verify import SweepSpec, check_duality, run_sweep
 
@@ -319,12 +320,19 @@ def _spec_without(field: str) -> str:
         (_spec_without("max_k"), "missing the 'max_k' field"),
         (_spec_without("window"), "missing the 'window' field"),
         (_spec_without("params"), "missing the 'params' field"),
+        (_spec_text(**{"t-range": [2]}), "unknown field 't-range'"),
+        (_spec_text(kind=["G"]), "unknown field 'kind'"),
+        (_spec_text(params=[{"q": "2", "b2": "1/4", "b2_site": {"0": "1/3"}}]),
+         "unknown field 'b2_site'"),
+        (_spec_text(params=[{"q": "1/2", "b2": "1/2", "b2_default": "1/4",
+                             "b2_sites": {"0": "1/3"}}]), "unknown field 'b2'"),
     ],
     ids=[
         "not-json", "json-list", "string-window", "float-window", "string-kinds",
         "float-max-ell", "list-b2-sites", "underscore-site-key",
         "missing-b2", "missing-q", "sites-without-default",
         "missing-max-ell", "missing-max-k", "missing-window", "missing-params",
+        "misspelled-t-range", "misspelled-kinds", "misspelled-b2-sites", "b2-beside-b2-sites",
     ],
 )
 def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text, message):
@@ -347,10 +355,26 @@ def test_simulate_golden_forward_trajectory(capsys):
     assert out == (
         "step,pos1,pos2,pos3\n"
         "0,0,2,5\n"
-        "1,1,2,6\n"
-        "2,2,3,6\n"
-        "3,3,4,7\n"
+        "1,2,4,6\n"
+        "2,2,4,7\n"
+        "3,3,4,8\n"
     )
+
+
+@pytest.mark.parametrize("seeds", [(7, -7), (31, -31), (7, 8)])
+def test_different_seeds_draw_different_streams(capsys, seeds):
+    # random.Random(int) seeds from |seed|, so 7 and -7 would share a stream
+    params = Params.homogeneous("2", "1/4")
+    rows = [
+        run_cli(capsys, "simulate", "--x", "0,2,5", "--t", "3", "--seed", str(s))[1]
+        for s in seeds
+    ]
+    assert rows[0] != rows[1]
+    means = [
+        mc_expectation("forward", (0, 1, 3), (4, 2), "G", 2, params, 2000, s).mean
+        for s in seeds
+    ]
+    assert means[0] != means[1]
 
 
 def test_simulate_validates_the_start_once(capsys, monkeypatch):

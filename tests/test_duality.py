@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+import sixv.duality
 from sixv.dynamics import (
     Mutation,
     forward_step_distribution,
@@ -455,17 +456,31 @@ def test_mc_is_deterministic_in_the_seed():
     "side,x,y,kind,params,seed,mean,stderr",
     [
         ("forward", (0, 1, 3), (4, 2), "G", P_HALF_QUARTER, 31,
-         0.07934375, 0.0010346948352871173),
+         0.081984375, 0.0011230537134867486),
         ("reversed", (0, 2, 3), (5, 3, 1), "D", cycled_inhom_params(0, 6), 37,
-         1.212, 0.09270288513555675),
+         1.296, 0.09629552644960773),
     ],
     ids=["forward-homogeneous", "reversed-site-dependent"],
 )
 def test_mc_golden_values(side, x, y, kind, params, seed, mean, stderr):
-    # recorded from the sampler that compared every draw with a Fraction:
-    # the float-threshold sampler must reproduce them bit for bit
+    # recorded from this estimator with oracle.oracle_sample_step, which
+    # compares every draw with a Fraction, in place of the float-threshold
+    # sampler: the package must reproduce them bit for bit
     res = mc_expectation(side, x, y, kind, 2, params, 2000, seed)
     assert (repr(res.mean), repr(res.stderr)) == (repr(mean), repr(stderr))
+
+
+def test_mc_seeds_one_generator_per_call(monkeypatch):
+    calls = []
+    real = sixv.duality.trajectory_rng
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sixv.duality, "trajectory_rng", counted)
+    mc_expectation("forward", (0, 2), (3, 1), "G", 2, P_HALF_QUARTER, 500, seed=9)
+    assert calls == [(9,)]
 
 
 def test_mc_time_zero_is_exact():

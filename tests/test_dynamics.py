@@ -14,7 +14,6 @@ from sixv.dynamics import (
     forward_step_distribution,
     one_particle_kernel,
     reversed_step_distribution,
-    trajectory_rng,
 )
 from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
 
@@ -346,17 +345,18 @@ def test_move_lists_are_checked_as_they_are_built():
 # --- samplers --------------------------------------------------------------------
 
 
-def test_sampler_deterministic_for_seed_and_stream():
+def test_sampler_draws_are_fixed_by_the_generator_state():
+    # same generator state, same steps; another state, other steps
     a = [
-        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, trajectory_rng(7, i))
+        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, random.Random(f"7:{i}"))
         for i in range(50)
     ]
     b = [
-        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, trajectory_rng(7, i))
+        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, random.Random(f"7:{i}"))
         for i in range(50)
     ]
     c = [
-        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, trajectory_rng(8, i))
+        _sample_step((0, 2, 5), P_HALF_QUARTER, +1, random.Random(f"8:{i}"))
         for i in range(50)
     ]
     assert a == b
@@ -366,7 +366,7 @@ def test_sampler_deterministic_for_seed_and_stream():
 def test_sampler_near_certain_hold():
     p = Params(q=Fraction(999), b2=Fraction(1, 1000))  # b1 = 999/1000
     n = 10_000
-    rng = trajectory_rng(11, "hold")
+    rng = random.Random("11:hold")
     stays = sum(_sample_step((0,), p, +1, rng) == (0,) for _ in range(n))
     mean = p.b1
     sigma = float(mean * (1 - mean) / n) ** 0.5
@@ -376,7 +376,7 @@ def test_sampler_near_certain_hold():
 def test_sampler_matches_exact_distribution_within_4_sigma():
     p = P_HALF_QUARTER
     n = 100_000
-    rng = trajectory_rng(3, "cells")
+    rng = random.Random("3:cells")
     counts: dict[int, int] = {}
     for _ in range(n):
         (z,) = _sample_step((0,), p, +1, rng)
@@ -393,8 +393,8 @@ def test_sampler_matches_exact_distribution_within_4_sigma():
 
 
 def test_sampler_preserves_order():
-    rng = trajectory_rng(5, "order")
-    pick = trajectory_rng(5, "configs")
+    rng = random.Random("5:order")
+    pick = random.Random("5:configs")
     for _ in range(10_000):
         x = tuple(sorted(pick.sample(range(-3, 9), pick.randint(1, 4))))
         out = _sample_step(x, P_HALF_QUARTER, +1, rng)
@@ -404,7 +404,7 @@ def test_sampler_preserves_order():
 def test_reversed_sampler_mirrors_forward_within_4_sigma():
     p = P_HALF_QUARTER
     n = 100_000
-    rng = trajectory_rng(13, "mirror")
+    rng = random.Random("13:mirror")
     counts: dict[int, int] = {}
     for _ in range(n):
         (z,) = _sample_step((0,), p, -1, rng)
@@ -417,7 +417,7 @@ def test_reversed_sampler_mirrors_forward_within_4_sigma():
 
 def test_reversed_sampler_hold_frequency_and_order():
     p = P_HALF_QUARTER
-    rng = trajectory_rng(17, "rev")
+    rng = random.Random("17:rev")
     n = 100_000
     stays = 0
     for _ in range(n):
@@ -450,7 +450,8 @@ def sample_both(start, params, step, rng, oracle_rng, steps=3):
 def test_sampler_draws_the_fraction_samplers_stream(params, step):
     for seed in range(150):
         for start in SAMPLER_STARTS[step]:
-            rng, oracle_rng = trajectory_rng(seed, start), trajectory_rng(seed, start)
+            rng = random.Random(f"{seed}:{start}")
+            oracle_rng = random.Random(f"{seed}:{start}")
             sample_both(start, params, step, rng, oracle_rng)
             assert rng.getstate() == oracle_rng.getstate()
             assert rng.random() == oracle_rng.random()

@@ -63,13 +63,6 @@ def test_params_b1_is_derived():
     assert p.is_homogeneous()
 
 
-def test_params_rejects_inconsistent_site_b1():
-    with pytest.raises(ValueError):
-        Params.from_b1_b2(
-            "1/2", "1/4", b1_sites={3: Fraction(1, 3)}, b2_sites={3: Fraction(1, 4)}
-        )
-
-
 def test_params_rejects_out_of_range():
     with pytest.raises(ValueError):
         Params(q=Fraction(2), b2=Fraction(2, 3))  # b1 = 4/3 is not a probability
@@ -142,6 +135,17 @@ def test_params_json_round_trip():
 )
 def test_params_from_json_names_a_missing_field(obj, field):
     with pytest.raises(ValueError, match=f"missing the '{field}' field"):
+        Params.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj,field",
+    [({"q": "1/2", "b2": "1/4", "b2_site": {"0": "1/3"}}, "b2_site"),
+     ({"q": "1/2", "b2": "1/4", "b2_default": "1/3"}, "b2_default"),
+     ({"q": "1/2", "b2_default": "1/4", "b2_sites": {"0": "1/3"}, "b2": "1/2"}, "b2")],
+)
+def test_params_from_json_names_an_unknown_field(obj, field):
+    with pytest.raises(ValueError, match=f"unknown field '{field}'"):
         Params.from_json_obj(obj)
 
 
