@@ -20,11 +20,12 @@ come from a JSON file mapping site to rational, e.g. ``{"0": "1/3"}``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from sixv.dynamics import Mutation, _sample_step, trajectory_rng
 from sixv.duality import mc_expectation
@@ -81,12 +82,19 @@ def _params_from_args(ns: argparse.Namespace) -> Params:
         raise CliError(str(exc))
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The file at ``out``, opened for writing, or stdout when ``out`` is None."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as handle:
+        handle.write(text)
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -157,8 +165,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             raise CliError(str(exc))
     mutation = MUTATIONS[ns.mutation] if ns.mutation else None
     result = run_sweep(spec, mutation=mutation)
-    lines = "".join(json.dumps(r.to_json_obj()) + "\n" for r in result.reports)
-    _emit(lines, ns.out)
+    with _output(ns.out) as handle:
+        for report in result.reports:
+            handle.write(json.dumps(report.to_json_obj()) + "\n")
     summary = result.summary()
     sys.stdout.write(json.dumps(summary) + "\n")
     return 0 if summary["failed"] == 0 else 1

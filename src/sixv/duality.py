@@ -31,8 +31,17 @@ The engine works in scaled integers.  Every law is a
 A t-step law is t row scans of the whole law in a loop
 (:func:`~sixv.dynamics._scan`), each with integer multiplies and adds,
 reduced by its gcd and checked after every step.  Contraction uses that
-every functional is 0 or q^(-m) for an integer m: numerators are summed
-per m, and one Fraction is built per expectation from q = a/b at the end.
+at each outcome every functional is 0 or q^(-m) with one integer m for all
+three: one pass over a law weighs each numerator by its power of q = a/b
+over one denominator and gives H, G and D at once, one Fraction each
+(:func:`_contract`).  A single expectation picks its kind from that pass.
+
+The sweep reads its answers from tables (:func:`expectation_table`): the
+pairs whose moving configuration folds to the same start share one law,
+advanced through the distinct horizons in increasing order, one scan per
+step, and contracted once per horizon and distinct fixed configuration.
+The lru-cached :func:`_evolve` stays the t-step entry point of single
+expectations and the identity checkers.
 
 Configurations are validated once, by the public entry points (here
 ``exact_expectation_*``, ``mc_expectation`` and ``eval_functional``; the
@@ -47,6 +56,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 from sixv.dynamics import (
     Mutation,
@@ -67,6 +77,8 @@ from sixv.model import (
 )
 
 KINDS = ("H", "G", "D")
+# One expectation of every kind, in the order of KINDS.
+Values = tuple[Fraction, Fraction, Fraction]
 
 
 def _require_kind(kind: str) -> None:
@@ -145,34 +157,53 @@ def eval_functional(
 
 
 def _contract(
-    kind: str, law: ScaledLaw, n_moving: int, fixed: tuple[int, ...], step: int, q: Fraction
-) -> Fraction:
-    """sum of num/den * kind(particles, points) over the law of ``n_moving`` points.
+    law: ScaledLaw, fixed: tuple[int, ...], k: int, step: int, q: Fraction
+) -> Values:
+    """(H, G, D) of the law of the moving configuration against ``fixed``, in one pass.
 
-    Forward, particles lumped beyond R sit right of every dual point: a
-    factor 1 in all kinds.  Reversed, a lumped dual point (an outcome with
-    fewer than ``n_moving`` positions) sits left of every particle: g = 0
-    there, which kills H, and height 0, a factor 1 for G and D.  Numerators
-    are summed per exponent m, then with q = a/b, so that q^(-m) = b^m / a^m,
-    every m is brought over the one denominator a^top * den, top the largest
-    exponent.
+    ``k`` is the number of dual points, resolved or not.  At an outcome all
+    three functionals are 0 or q^(-m) with the same m, the sum of the
+    heights at the dual points: G always, H when every one of the k dual
+    points sits on a particle, D when none does.  Forward, particles lumped
+    beyond R sit right of every dual point: a factor 1 in all kinds.
+    Reversed, a lumped dual point (an outcome with fewer than k positions)
+    sits left of every particle: g = 0 there, which kills H, and height 0,
+    a factor 1 for G and D.  Each m is at most k times the particle count,
+    top; with q = a/b, q^(-m) = b^m a^(top-m) / a^top, so the three sums
+    are integer numerators over the one denominator a^top * den.
     """
-    by_exponent: dict[int, int] = {}
-    for positions, num in law.entries:
-        if step > 0:
-            m = _exponent_at_points(kind, positions, fixed)
-        elif len(positions) < n_moving and kind == "H":
-            continue
-        else:
-            m = _exponent_at_points(kind, fixed, positions)
-        if m is not None:
-            by_exponent[m] = by_exponent.get(m, 0) + num
-    if not by_exponent:
-        return Fraction(0)
+    forward = step > 0
+    top = k * (max((len(p) for p, _ in law.entries), default=0) if forward else len(fixed))
     a, b = q.numerator, q.denominator
-    top = max(by_exponent)
-    numerator = sum(c * b**m * a ** (top - m) for m, c in by_exponent.items())
-    return Fraction(numerator, law.den * a**top)
+    weight = [b**m * a ** (top - m) for m in range(top + 1)]
+    h = g = d = 0
+    for positions, num in law.entries:
+        particles, points = (positions, fixed) if forward else (fixed, positions)
+        m = hits = 0
+        for site in points:
+            n = bisect_right(particles, site)
+            m += n
+            if n and particles[n - 1] == site:
+                hits += 1
+        num *= weight[m]
+        g += num
+        if hits == k:
+            h += num
+        if not hits:
+            d += num
+    den = law.den * a**top
+    return Fraction(h, den), Fraction(g, den), Fraction(d, den)
+
+
+def _without_dual_points(x: tuple[int, ...], y: tuple[int, ...]) -> Values:
+    """(H, G, D) where the fixed side is empty, which no move can change.
+
+    Without dual points every kind is the empty product 1; without
+    particles H is 0 and G, D are q^0 = 1.
+    """
+    return tuple(
+        Fraction(0 if _exponent_at_points(kind, x, y) is None else 1) for kind in KINDS
+    )
 
 
 # --- exact engines ---------------------------------------------------------------
@@ -223,6 +254,19 @@ def _evolve(
     return law
 
 
+def _law_mutation_and_q(
+    params: Params, mutation: Mutation | None
+) -> tuple[Mutation | None, Fraction]:
+    """The mutation the dynamics run under and the q the functionals use.
+
+    INVERTED_Q is a defect of the functional alone: the dynamics stay clean
+    and share the clean laws, and only the contraction inverts q.
+    """
+    if mutation is Mutation.INVERTED_Q:
+        return None, 1 / params.q
+    return mutation, params.q
+
+
 def _expect(
     x: LocationConfig,
     y: ReversedConfig,
@@ -239,21 +283,70 @@ def _expect(
         raise ValueError("t must be >= 0")
     moving, fixed = _oriented(step, x, y)
     if not fixed:
-        # the moving side cannot change the value: without dual points it is
-        # the empty product 1; without particles H is 0 and G, D are q^0 = 1
-        return Fraction(0 if _exponent_at_points(kind, x, y) is None else 1)
-    if boundary is None:
-        boundary = fixed[0]
-    elif (boundary - fixed[0]) * step < 0:
-        bound = "at least y_1" if step > 0 else "at most x_1"
-        raise ValueError(f"lump boundary {boundary} must be {bound} = {fixed[0]}")
-    # INVERTED_Q is a defect of the functional alone: the dynamics stay
-    # clean and share the clean laws' cache entries
-    q = params.q
-    if mutation is Mutation.INVERTED_Q:
-        mutation, q = None, 1 / q
-    law = _evolve(_fold(moving, boundary, step), params, boundary, t, mutation, step)
-    return _contract(kind, law, len(moving), fixed, step, q)
+        values = _without_dual_points(x, y)
+    else:
+        if boundary is None:
+            boundary = fixed[0]
+        elif (boundary - fixed[0]) * step < 0:
+            bound = "at least y_1" if step > 0 else "at most x_1"
+            raise ValueError(f"lump boundary {boundary} must be {bound} = {fixed[0]}")
+        mutation, q = _law_mutation_and_q(params, mutation)
+        law = _evolve(_fold(moving, boundary, step), params, boundary, t, mutation, step)
+        values = _contract(law, fixed, len(y), step, q)
+    return values[KINDS.index(kind)]
+
+
+def expectation_table(
+    side: str,
+    pairs: Sequence[tuple[LocationConfig, ReversedConfig]],
+    horizons: Iterable[int],
+    params: Params,
+    mutation: Mutation | None = None,
+) -> dict[int, list[Values]]:
+    """The ``side`` expectations of every kind, for every pair at every horizon.
+
+    Maps each horizon t >= 0 to the (H, G, D) values of the pairs, in pair
+    order; each value is what :func:`expect_forward` (or
+    :func:`expect_reversed`) gives for that pair, kind and t.  The pairs
+    must be validated already.  Pairs whose moving configuration folds to
+    the same start share one law: forward keyed by (fold of x, y_1),
+    reversed by (fold of y, x_1).  Each law is advanced through the
+    horizons in increasing order, one scan per step, so the law at t
+    continues from the one at the horizon before, and it is contracted once
+    per distinct (fixed configuration, k) for all three kinds.  k is part
+    of the key because reversed H drops lumped outcomes: two y of
+    different length can fold to the same law.
+    """
+    step = _step_of(side)
+    mutation, q = _law_mutation_and_q(params, mutation)
+    horizons = sorted(set(horizons))
+    if horizons and horizons[0] < 0:
+        raise ValueError("t must be >= 0")
+    # each pair's key into ``values``: (law, fixed, k), or the pair itself
+    # when it has no fixed configuration to contract against
+    slots: list[tuple] = []
+    values: dict[tuple, list[Values]] = {}
+    contractions: dict[tuple[State, int], dict[tuple, None]] = {}
+    for x, y in pairs:
+        moving, fixed = _oriented(step, x, y)
+        if fixed:
+            law_key = (_fold(moving, fixed[0], step), fixed[0])
+            key = (law_key, fixed, len(y))
+            contractions.setdefault(law_key, {})[key] = None
+        else:
+            key = (x, y)
+            values[key] = [_without_dual_points(x, y)] * len(horizons)
+        slots.append(key)
+    for (state, boundary), keys in contractions.items():
+        law, done = ScaledLaw(1, ((state, 1),)), 0
+        for t in horizons:
+            for _ in range(t - done):
+                law = _scan(law, params, boundary, step, mutation)
+            done = t
+            for key in keys:
+                _, fixed, k = key
+                values.setdefault(key, []).append(_contract(law, fixed, k, step, q))
+    return {t: [values[key][i] for key in slots] for i, t in enumerate(horizons)}
 
 
 def expect_forward(
@@ -316,7 +409,8 @@ def expect_one_step_held(
     one_step = _forward_entries if step > 0 else _reversed_entries
     law = one_step(moving, params, boundary, None)
     held = tuple((state, num) for state, num in law.entries if state[:1] == moving[:1])
-    return _contract(kind, ScaledLaw(law.den, held), len(moving), fixed, step, params.q)
+    values = _contract(ScaledLaw(law.den, held), fixed, len(y), step, params.q)
+    return values[KINDS.index(kind)]
 
 
 # --- public wrappers --------------------------------------------------------------

@@ -120,7 +120,8 @@ class Params:
     ``hold_thresholds`` and ``stop_thresholds`` are derived, not fields (so
     they stay out of equality and hashing): ``(by_site, default)`` pairs of
     :func:`float_threshold` of b1 and of 1 - b2, which the sampler compares
-    its draws with.
+    its draws with.  The rationals :meth:`to_json_obj` prints are derived
+    the same way, formatted once.
     """
 
     q: Fraction
@@ -151,6 +152,12 @@ class Params:
         stop = {site: float_threshold(1 - value) for site, value in self.b2_sites}
         object.__setattr__(self, "hold_thresholds", (hold, float_threshold(self.b1)))
         object.__setattr__(self, "stop_thresholds", (stop, float_threshold(1 - self.b2)))
+        # every report line carries its parameters, so their rationals are
+        # formatted once here; to_json_obj builds fresh dicts from them
+        sites = tuple((str(site), format_rational(value)) for site, value in self.b2_sites)
+        object.__setattr__(
+            self, "_formatted", (format_rational(self.q), format_rational(self.b2), sites)
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -183,15 +190,10 @@ class Params:
         return all(value == self.b2 for _, value in self.b2_sites)
 
     def to_json_obj(self) -> dict:
-        obj: dict = {"q": format_rational(self.q)}
-        if self.b2_sites:
-            obj["b2_default"] = format_rational(self.b2)
-            obj["b2_sites"] = {
-                str(site): format_rational(value) for site, value in self.b2_sites
-            }
-        else:
-            obj["b2"] = format_rational(self.b2)
-        return obj
+        q, b2, sites = self._formatted
+        if sites:
+            return {"q": q, "b2_default": b2, "b2_sites": dict(sites)}
+        return {"q": q, "b2": b2}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Params":

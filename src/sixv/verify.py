@@ -12,6 +12,11 @@ tolerance.  The checkers mirror how the duality identity decomposes:
   an (ℓ, k) instance to strictly smaller ones, keyed by where the lowest
   dual point y_k sits relative to x_1 and x_2.
 * ``run_sweep``: exhaustive duality checks over a finite enumeration domain.
+  It reads every answer from expectation tables: per parameter set and
+  side, one law per folded start, advanced through the sweep's horizons in
+  increasing order and contracted once per fixed configuration for H, G
+  and D at once (:func:`~sixv.duality.expectation_table`).  Its reports are
+  exactly those :func:`check_duality` gives, in the canonical order.
 
 Case labels over ℓ ≥ 2 (mutually exclusive and total):
 
@@ -38,6 +43,7 @@ from sixv.duality import (
     expect_forward,
     expect_one_step_held,
     expect_reversed,
+    expectation_table,
 )
 from sixv.model import (
     Params,
@@ -463,17 +469,26 @@ def run_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> SweepResult:
 
     Instances are enumerated params-major, then kind, t, and configuration
     (:func:`iter_config_pairs`), so the report order is fixed by the spec.
-    ``mutation`` is the negative-control hook: it injects a deliberate
-    defect so the sweep can demonstrate it would catch a wrong
-    implementation.
+    The answers come from tables: per parameter set, one
+    :func:`~sixv.duality.expectation_table` per side holds every kind at
+    every distinct t, and each report is exactly what :func:`check_duality`
+    gives for its instance.  ``mutation`` is the negative-control hook: it
+    injects a deliberate defect so the sweep can demonstrate it would catch
+    a wrong implementation.
     """
     start = time.monotonic()
-    reports = [
-        check_duality(x, y, kind, t, params, mutation)
-        for params in spec.params_list
-        for kind in spec.kinds
-        for t in spec.t_range
-        for x, y in iter_config_pairs(spec)
-    ]
+    pairs = list(iter_config_pairs(spec))
+    cases = [_case_label(x, y) for x, y in pairs]
+    reports = []
+    for params in spec.params_list:
+        lhs_table = expectation_table("forward", pairs, spec.t_range, params, mutation)
+        rhs_table = expectation_table("reversed", pairs, spec.t_range, params, mutation)
+        for kind in spec.kinds:
+            i = KINDS.index(kind)
+            for t in spec.t_range:
+                reports.extend(
+                    _checked("duality", x, y, params, t, kind, lhs[i], rhs[i], case)
+                    for (x, y), case, lhs, rhs in zip(pairs, cases, lhs_table[t], rhs_table[t])
+                )
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return SweepResult(reports=reports, elapsed_ms=elapsed_ms)

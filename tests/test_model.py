@@ -128,6 +128,22 @@ def test_params_json_round_trip():
     assert Params.from_json_obj(obj) == inhom
 
 
+def test_params_json_is_a_fresh_object_each_call():
+    # the rationals are formatted once per Params; the dicts are not shared
+    hom = Params.homogeneous("2", "1/4")
+    hom.to_json_obj()["q"] = "3/1"
+    assert hom.to_json_obj() == {"q": "2/1", "b2": "1/4"}
+
+    inhom = Params(
+        q=Fraction(1, 2), b2=Fraction(1, 4), b2_sites=((1, Fraction(1, 3)),)
+    )
+    obj = inhom.to_json_obj()
+    obj["b2_default"] = "1/5"
+    obj["b2_sites"]["1"] = "1/2"
+    obj["b2_sites"]["7"] = "1/7"
+    assert inhom.to_json_obj() == {"q": "1/2", "b2_default": "1/4", "b2_sites": {"1": "1/3"}}
+
+
 @pytest.mark.parametrize(
     "obj,field",
     [({"q": "1/2"}, "b2"), ({"b2": "1/4"}, "q"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sixv import duality
 from sixv.duality import (
     _evolve,
     _forward_entries,
@@ -414,6 +415,57 @@ def test_sweep_reports_follow_the_canonical_order():
     assert [(r.params, r.kind, r.t, r.x, r.y) for r in result.reports] == expected
 
 
+@pytest.mark.parametrize("mutation", [None, *Mutation])
+@pytest.mark.parametrize("params", [P_HALF_QUARTER, INHOM], ids=["homogeneous", "by_site"])
+def test_sweep_reports_equal_the_per_instance_checks(params, mutation):
+    # t unsorted, repeated and 0; kinds out of KINDS order; x = () occurs
+    spec = SweepSpec(
+        max_ell=2, max_k=2, window=(0, 3), t_range=(2, 0, 1, 2),
+        params_list=(params,), kinds=("D", "H"),
+    )
+    pairs = list(iter_config_pairs(spec))
+    assert ((), (1, 0)) in pairs
+    # reversed, with x_1 = 2 both y fold to (3,); the lumped point of the
+    # longer one kills H, so the tables must not share their contraction
+    short, long = ((2,), (3,)), ((2,), (3, 0))
+    assert short in pairs and long in pairs
+    assert check_duality(*long, "H", 1, params).rhs == 0
+    assert check_duality(*short, "H", 1, params).rhs != 0
+    expected = [
+        check_duality(x, y, kind, t, params, mutation).to_json_obj()
+        for kind in spec.kinds
+        for t in spec.t_range
+        for x, y in pairs
+    ]
+    assert [r.to_json_obj() for r in run_sweep(spec, mutation).reports] == expected
+
+
+def test_a_sweep_scans_each_step_of_a_law_once(monkeypatch):
+    # the law at t = 2 continues from the one at t = 1: adding t = 1 to a
+    # t = 2 sweep costs contractions, not scans
+    scans = []
+    original = duality._scan
+
+    def counting_scan(*args):
+        scans.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(duality, "_scan", counting_scan)
+
+    def scans_of(t_range):
+        for cache in (_evolve, _forward_entries, _reversed_entries, _particle_moves):
+            cache.cache_clear()
+        scans.clear()
+        run_sweep(SweepSpec(
+            max_ell=2, max_k=2, window=(0, 3), t_range=t_range,
+            params_list=(P_HALF_QUARTER,), kinds=("H", "G", "D"),
+        ))
+        return len(scans)
+
+    both, last = scans_of((1, 2)), scans_of((2,))
+    assert 0 < both <= last
+
+
 @pytest.mark.parametrize("mutation", list(Mutation))
 def test_each_seeded_defect_is_caught(mutation):
     spec = SweepSpec(
@@ -496,16 +548,21 @@ def test_public_entry_points_reject_malformed_configurations(entry, side, defect
 
 def test_inverted_q_reuses_the_clean_laws():
     # INVERTED_Q changes only the q of the contraction, so a run of it after
-    # a clean run of the same instances builds no move list, step law or
-    # t-step law
+    # a clean run of the same instances, by the sweep's tables or one check
+    # at a time, builds no move list, step law or t-step law
     spec = SweepSpec(
         max_ell=2, max_k=2, window=(0, 3), t_range=(1, 2),
         params_list=(P_HALF_QUARTER,), kinds=("H", "G", "D"),
     )
     caches = (_evolve, _forward_entries, _reversed_entries, _particle_moves)
+    checks = [(x, y, t) for x, y in iter_config_pairs(spec) for t in spec.t_range]
     clean = run_sweep(spec)
+    for x, y, t in checks:
+        check_duality(x, y, "G", t, P_HALF_QUARTER)
     misses = [cache.cache_info().misses for cache in caches]
     inverted = run_sweep(spec, mutation=Mutation.INVERTED_Q)
+    for x, y, t in checks:
+        check_duality(x, y, "G", t, P_HALF_QUARTER, Mutation.INVERTED_Q)
     assert [cache.cache_info().misses for cache in caches] == misses
     assert not clean.failures
     assert inverted.failures
