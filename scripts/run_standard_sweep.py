@@ -2,9 +2,13 @@
 """Run the standard exhaustive duality battery and write the reports.
 
 Covers every configuration pair up to the requested sizes for all three
-functional kinds and both asymmetry regimes, then prints one summary line
-per kind.  All verdicts are exact rational comparisons; a nonzero exit
-means at least one identity failed.
+functional kinds and both asymmetry regimes in one sweep, so each parameter
+set's tables are built once for H, G and D together.  Reports are written
+as they are made, in the sweep's canonical order: parameters, then kind,
+then t, then configuration pair.  One summary line per kind is counted from
+that stream; its ``elapsed_ms`` is the whole sweep's, writing included.
+All verdicts are exact rational comparisons; a nonzero exit means at least
+one identity failed.
 """
 
 from __future__ import annotations
@@ -12,12 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sixv.duality import KINDS
 from sixv.model import STANDARD_PARAMS
-from sixv.verify import SweepSpec, run_sweep
+from sixv.verify import SweepSpec, iter_sweep, sweep_summary
 
 
 def main() -> int:
@@ -30,28 +37,25 @@ def main() -> int:
     args = parser.parse_args()
 
     lo, _, hi = args.window.partition(":")
-    window = (int(lo), int(hi))
-    t_range = tuple(int(t) for t in args.t_list.split(","))
-
-    failed_total = 0
+    spec = SweepSpec(
+        max_ell=args.max_ell,
+        max_k=args.max_k,
+        window=(int(lo), int(hi)),
+        t_range=tuple(int(t) for t in args.t_list.split(",")),
+        params_list=STANDARD_PARAMS,
+        kinds=KINDS,
+    )
+    start = time.monotonic()
+    verdicts = {kind: Counter() for kind in KINDS}
     with open(args.out, "w", encoding="utf-8") as handle:
-        for kind in ("H", "G", "D"):
-            spec = SweepSpec(
-                max_ell=args.max_ell,
-                max_k=args.max_k,
-                window=window,
-                t_range=t_range,
-                params_list=STANDARD_PARAMS,
-                kinds=(kind,),
-            )
-            result = run_sweep(spec)
-            for report in result.reports:
-                handle.write(json.dumps(report.to_json_obj()) + "\n")
-            summary = result.summary()
-            failed_total += summary["failed"]
-            print(f"kind {kind}: {json.dumps(summary)}")
+        for report in iter_sweep(spec):
+            verdicts[report.kind][report.verdict] += 1
+            handle.write(report.to_json_line() + "\n")
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    for kind in KINDS:
+        print(f"kind {kind}: {json.dumps(sweep_summary(verdicts[kind], elapsed_ms))}")
     print(f"reports written to {args.out}")
-    return 0 if failed_total == 0 else 1
+    return 0 if all(v["fail"] == 0 for v in verdicts.values()) else 1
 
 
 if __name__ == "__main__":

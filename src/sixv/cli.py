@@ -25,6 +25,8 @@ import csv
 import io
 import json
 import sys
+import time
+from collections import Counter
 from typing import Iterator, Sequence, TextIO
 
 from sixv.dynamics import Mutation, _sample_step, trajectory_rng
@@ -35,7 +37,8 @@ from sixv.verify import (
     check_case_identities,
     check_duality,
     check_lemma_factorization,
-    run_sweep,
+    iter_sweep,
+    sweep_summary,
 )
 
 
@@ -121,7 +124,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
             reports.extend(check_lemma_factorization(x, y, params))
         if len(x) >= 2:
             reports.extend(check_case_identities(x, y, params))
-    lines = [json.dumps(r.to_json_obj()) for r in reports]
+    lines = [r.to_json_line() for r in reports]
     if ns.n_samples is not None:
         for side in ("forward", "reversed"):
             res = mc_expectation(
@@ -164,11 +167,13 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(str(exc))
     mutation = MUTATIONS[ns.mutation] if ns.mutation else None
-    result = run_sweep(spec, mutation=mutation)
+    start = time.monotonic()
+    verdicts: Counter[str] = Counter()
     with _output(ns.out) as handle:
-        for report in result.reports:
-            handle.write(json.dumps(report.to_json_obj()) + "\n")
-    summary = result.summary()
+        for report in iter_sweep(spec, mutation):
+            verdicts[report.verdict] += 1
+            handle.write(report.to_json_line() + "\n")
+    summary = sweep_summary(verdicts, int((time.monotonic() - start) * 1000))
     sys.stdout.write(json.dumps(summary) + "\n")
     return 0 if summary["failed"] == 0 else 1
 

@@ -27,6 +27,7 @@ through one more empty site), tied together by the asymmetry ratio
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -120,8 +121,9 @@ class Params:
     ``hold_thresholds`` and ``stop_thresholds`` are derived, not fields (so
     they stay out of equality and hashing): ``(by_site, default)`` pairs of
     :func:`float_threshold` of b1 and of 1 - b2, which the sampler compares
-    its draws with.  The rationals :meth:`to_json_obj` prints are derived
-    the same way, formatted once.
+    its draws with.  ``json_text`` is derived the same way: ``json.dumps``
+    of :meth:`to_json_obj`, formatted once for every report line that
+    carries these parameters.
     """
 
     q: Fraction
@@ -152,12 +154,7 @@ class Params:
         stop = {site: float_threshold(1 - value) for site, value in self.b2_sites}
         object.__setattr__(self, "hold_thresholds", (hold, float_threshold(self.b1)))
         object.__setattr__(self, "stop_thresholds", (stop, float_threshold(1 - self.b2)))
-        # every report line carries its parameters, so their rationals are
-        # formatted once here; to_json_obj builds fresh dicts from them
-        sites = tuple((str(site), format_rational(value)) for site, value in self.b2_sites)
-        object.__setattr__(
-            self, "_formatted", (format_rational(self.q), format_rational(self.b2), sites)
-        )
+        object.__setattr__(self, "json_text", json.dumps(self.to_json_obj()))
 
     def __hash__(self) -> int:
         return self._hash
@@ -190,9 +187,10 @@ class Params:
         return all(value == self.b2 for _, value in self.b2_sites)
 
     def to_json_obj(self) -> dict:
-        q, b2, sites = self._formatted
-        if sites:
-            return {"q": q, "b2_default": b2, "b2_sites": dict(sites)}
+        q, b2 = format_rational(self.q), format_rational(self.b2)
+        if self.b2_sites:
+            sites = {str(site): format_rational(value) for site, value in self.b2_sites}
+            return {"q": q, "b2_default": b2, "b2_sites": sites}
         return {"q": q, "b2": b2}
 
     @classmethod

@@ -11,12 +11,13 @@ tolerance.  The checkers mirror how the duality identity decomposes:
 * ``check_case_identities``: the linear-combination identities that reduce
   an (ℓ, k) instance to strictly smaller ones, keyed by where the lowest
   dual point y_k sits relative to x_1 and x_2.
-* ``run_sweep``: exhaustive duality checks over a finite enumeration domain.
-  It reads every answer from expectation tables: per parameter set and
-  side, one law per folded start, advanced through the sweep's horizons in
-  increasing order and contracted once per fixed configuration for H, G
-  and D at once (:func:`~sixv.duality.expectation_table`).  Its reports are
-  exactly those :func:`check_duality` gives, in the canonical order.
+* ``iter_sweep``: exhaustive duality checks over a finite enumeration
+  domain, yielded as they are made; ``run_sweep`` collects them.  It reads
+  every answer from expectation tables: per parameter set and side, one law
+  per folded start, advanced through the sweep's horizons in increasing
+  order and contracted once per fixed configuration for H, G and D at once
+  (:func:`~sixv.duality.expectation_table`).  Its reports are exactly those
+  :func:`check_duality` gives, in the canonical order.
 
 Case labels over ℓ ≥ 2 (mutually exclusive and total):
 
@@ -31,10 +32,13 @@ Case labels over ℓ ≥ 2 (mutually exclusive and total):
 
 from __future__ import annotations
 
+import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Sequence
 
 from sixv.dynamics import Mutation
@@ -63,9 +67,14 @@ CASE_LABELS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
-    """Outcome of one identity check; verdict is exact-equality, never fuzzy."""
+    """Outcome of one identity check; verdict is exact-equality, never fuzzy.
+
+    A ``verdict`` of None is derived from the values: "pass" exactly when
+    lhs = rhs, else "fail".  A "pass" or "fail" given explicitly is checked
+    against them.  Either way the two sides are compared once.
+    """
 
     identity: str
     x: tuple[int, ...]
@@ -75,36 +84,52 @@ class CheckReport:
     kind: str | None
     lhs: Fraction | None
     rhs: Fraction | None
-    verdict: str  # "pass" | "fail" | "skip"
+    verdict: str | None  # "pass" | "fail" | "skip", or None to derive pass/fail
     case: str | None = None
     detail: str = ""
 
     def __post_init__(self) -> None:
-        if self.verdict not in ("pass", "fail", "skip"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict != "skip":
-            if self.lhs is None or self.rhs is None:
-                raise ValueError("checked reports need both sides")
-            if (self.verdict == "pass") != (self.lhs == self.rhs):
-                raise ValueError("verdict must be pass exactly when lhs = rhs")
+        verdict = self.verdict
+        if verdict == "skip":
+            return
+        if verdict not in (None, "pass", "fail"):
+            raise ValueError(f"bad verdict {verdict!r}")
+        if self.lhs is None or self.rhs is None:
+            raise ValueError("checked reports need both sides")
+        derived = "pass" if self.lhs == self.rhs else "fail"
+        if verdict is None:
+            object.__setattr__(self, "verdict", derived)
+        elif verdict != derived:
+            raise ValueError("verdict must be pass exactly when lhs = rhs")
+
+    def to_json_line(self) -> str:
+        """The report as one JSON object, exactly as ``json.dumps`` prints :meth:`to_json_obj`.
+
+        It is assembled from pieces, with no ``json.dumps`` per line: the
+        parameters' text is formatted once per :class:`Params`, strings are
+        escaped as ``json.dumps`` escapes them, and a passing report formats
+        its value once for both sides.
+        """
+        lhs = _json_rational(self.lhs)
+        rhs = lhs if self.verdict == "pass" else _json_rational(self.rhs)
+        kind = "null" if self.kind is None else encode_basestring_ascii(self.kind)
+        case = "null" if self.case is None else encode_basestring_ascii(self.case)
+        return (
+            f'{{"identity": {encode_basestring_ascii(self.identity)}, "x": {list(self.x)}, '
+            f'"y": {list(self.y)}, "params": {self.params.json_text}, "t": {self.t}, '
+            f'"kind": {kind}, "lhs": {lhs}, "rhs": {rhs}, '
+            f'"verdict": {encode_basestring_ascii(self.verdict)}, "case": {case}, '
+            f'"detail": {encode_basestring_ascii(self.detail)}}}'
+        )
 
     def to_json_obj(self) -> dict:
-        def rat(v: Fraction | None) -> str | None:
-            return None if v is None else format_rational(v)
+        """:meth:`to_json_line`, parsed: one encoder serves both forms."""
+        return json.loads(self.to_json_line())
 
-        return {
-            "identity": self.identity,
-            "x": list(self.x),
-            "y": list(self.y),
-            "params": self.params.to_json_obj(),
-            "t": self.t,
-            "kind": self.kind,
-            "lhs": rat(self.lhs),
-            "rhs": rat(self.rhs),
-            "verdict": self.verdict,
-            "case": self.case,
-            "detail": self.detail,
-        }
+
+def _json_rational(value: Fraction | None) -> str:
+    # num/den holds only digits, "-" and "/", which JSON strings take as is
+    return "null" if value is None else f'"{format_rational(value)}"'
 
 
 def _checked(
@@ -119,8 +144,7 @@ def _checked(
     case: str | None = None,
     detail: str = "",
 ) -> CheckReport:
-    verdict = "pass" if lhs == rhs else "fail"
-    return CheckReport(identity, x, y, params, t, kind, lhs, rhs, verdict, case, detail)
+    return CheckReport(identity, x, y, params, t, kind, lhs, rhs, None, case, detail)
 
 
 def _skipped(
@@ -444,6 +468,16 @@ def iter_config_pairs(
                     yield xs, tuple(reversed(ys))
 
 
+def sweep_summary(verdicts: Counter[str], elapsed_ms: int) -> dict:
+    """A sweep's summary line from the count of its reports by verdict."""
+    return {
+        "total": sum(verdicts.values()),
+        "passed": verdicts["pass"],
+        "failed": verdicts["fail"],
+        "elapsed_ms": elapsed_ms,
+    }
+
+
 @dataclass
 class SweepResult:
     reports: list[CheckReport]
@@ -454,17 +488,10 @@ class SweepResult:
         return [r for r in self.reports if r.verdict == "fail"]
 
     def summary(self) -> dict:
-        passed = sum(1 for r in self.reports if r.verdict == "pass")
-        failed = len(self.failures)
-        return {
-            "total": len(self.reports),
-            "passed": passed,
-            "failed": failed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return sweep_summary(Counter(r.verdict for r in self.reports), self.elapsed_ms)
 
 
-def run_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> SweepResult:
+def iter_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> Iterator[CheckReport]:
     """Duality checks over every instance of the spec, canonically ordered.
 
     Instances are enumerated params-major, then kind, t, and configuration
@@ -472,23 +499,26 @@ def run_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> SweepResult:
     The answers come from tables: per parameter set, one
     :func:`~sixv.duality.expectation_table` per side holds every kind at
     every distinct t, and each report is exactly what :func:`check_duality`
-    gives for its instance.  ``mutation`` is the negative-control hook: it
-    injects a deliberate defect so the sweep can demonstrate it would catch
-    a wrong implementation.
+    gives for its instance.  Reports are yielded as they are made: a
+    parameter set's tables are built only when its first report is asked
+    for.  ``mutation`` is the negative-control hook: it injects a deliberate
+    defect so the sweep can demonstrate it would catch a wrong
+    implementation.
     """
-    start = time.monotonic()
     pairs = list(iter_config_pairs(spec))
     cases = [_case_label(x, y) for x, y in pairs]
-    reports = []
     for params in spec.params_list:
         lhs_table = expectation_table("forward", pairs, spec.t_range, params, mutation)
         rhs_table = expectation_table("reversed", pairs, spec.t_range, params, mutation)
         for kind in spec.kinds:
             i = KINDS.index(kind)
             for t in spec.t_range:
-                reports.extend(
-                    _checked("duality", x, y, params, t, kind, lhs[i], rhs[i], case)
-                    for (x, y), case, lhs, rhs in zip(pairs, cases, lhs_table[t], rhs_table[t])
-                )
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return SweepResult(reports=reports, elapsed_ms=elapsed_ms)
+                for (x, y), case, lhs, rhs in zip(pairs, cases, lhs_table[t], rhs_table[t]):
+                    yield _checked("duality", x, y, params, t, kind, lhs[i], rhs[i], case)
+
+
+def run_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> SweepResult:
+    """Every report of :func:`iter_sweep`, collected, with the time they took."""
+    start = time.monotonic()
+    reports = list(iter_sweep(spec, mutation))
+    return SweepResult(reports, int((time.monotonic() - start) * 1000))

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 import sixv
-from sixv.cli import main
+from sixv.cli import MUTATIONS, main
 from sixv.duality import mc_expectation
 from sixv.model import Params
-from sixv.verify import SweepSpec, check_duality, run_sweep
+from sixv.verify import SweepSpec, check_duality, iter_config_pairs, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +288,47 @@ def test_sweep_reads_a_spec_file(capsys, tmp_path):
         "elapsed_ms": json.loads(lines[-1])["elapsed_ms"],
     }
     assert len(lines) == 19  # reports stream to stdout before the summary
+
+
+def test_sweep_to_stdout_prints_the_out_file_then_the_summary(capsys, tmp_path):
+    args = ("sweep", "--max-ell", "2", "--max-k", "2", "--window", "0:3",
+            "--t-list", "2,0,1,2", "--kinds", "D,H")
+    out_file = tmp_path / "reports.jsonl"
+    code, out, _ = run_cli(capsys, *args, "--out", str(out_file))
+    assert code == 0
+    code, streamed, _ = run_cli(capsys, *args)
+    assert code == 0
+    *reports, last = streamed.splitlines(keepends=True)
+    summary = json.loads(last)
+    assert len(reports) == summary["total"] == 848
+    assert "".join(reports) == out_file.read_text()
+    assert summary == {**json.loads(out), "elapsed_ms": summary["elapsed_ms"]}
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_sweep_lines_equal_the_per_instance_check_lines(capsys, tmp_path, mutation):
+    spec_obj = {
+        "max_ell": 2, "max_k": 2, "window": [0, 3], "t_range": [2, 0, 1],
+        "kinds": ["G", "H"],
+        "params": [{"q": "1/2", "b2_default": "1/4", "b2_sites": {"0": "1/3", "2": "1/2"}}],
+    }
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_obj))
+    out_file = tmp_path / "reports.jsonl"
+    flags = ["--mutation", mutation] if mutation else []
+    code, _, _ = run_cli(
+        capsys, "sweep", "--spec", str(spec_file), "--out", str(out_file), *flags
+    )
+    spec = SweepSpec.from_json_obj(spec_obj)
+    (params,) = spec.params_list
+    reports = [
+        check_duality(x, y, kind, t, params, MUTATIONS.get(mutation))
+        for kind in spec.kinds
+        for t in spec.t_range
+        for x, y in iter_config_pairs(spec)
+    ]
+    assert out_file.read_text() == "".join(r.to_json_line() + "\n" for r in reports)
+    assert code == (1 if any(r.verdict == "fail" for r in reports) else 0)
 
 
 def _spec_text(**overrides) -> str:

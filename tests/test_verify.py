@@ -1,12 +1,13 @@
 """Tests for the identity checkers and the exhaustive duality sweep."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixv import duality
+from sixv import duality, verify
 from sixv.duality import (
     _evolve,
     _forward_entries,
@@ -32,6 +33,7 @@ from sixv.verify import (
     check_truncation_invariance,
     classify_case,
     iter_config_pairs,
+    iter_sweep,
     run_sweep,
 )
 
@@ -85,6 +87,74 @@ def test_report_json_shape():
         "case": None,
         "detail": "",
     }
+
+
+# Values whose digits are known without str(int): past the 4,300-digit limit
+# on int-to-str conversion, as at t = 1500 in test_cli.py.
+SEVENS = Fraction(7 * (10**4400 - 1) // 9, 10**4400)
+SEVENS_TEXT = "7" * 4400 + "/1" + "0" * 4400
+
+
+def _report_and_dict(name):
+    """A report and the dict json.dumps should print it as, assembled here."""
+    hom = {"q": "2/1", "b2": "1/4"}
+    fields = ("identity", "x", "y", "params", "t", "kind", "lhs", "rhs", "verdict",
+              "case", "detail")
+    if name == "pass":
+        report = check_duality((0, 2), (3, 1), "G", 2, P_HALF_QUARTER)
+        value = f"{report.lhs.numerator}/{report.lhs.denominator}"
+        row = ("duality", [0, 2], [3, 1], hom, 2, "G", value, value, "pass", "separated", "")
+    elif name == "fail":
+        report = CheckReport(
+            "duality", (0, 1, 4), (4,), P_HALF_QUARTER, 1, "D",
+            Fraction(-3, 8), Fraction(1, 2), None, "at_third_or_later",
+        )
+        row = ("duality", [0, 1, 4], [4], hom, 1, "D", "-3/8", "1/2", "fail",
+               "at_third_or_later", "")
+    elif name == "skip":
+        report = check_lemma_factorization((0, 1), (1,), P_HALF_QUARTER)[1]
+        row = ("hold_factorization_pinned", [0, 1], [1], hom, 1, "H", None, None, "skip",
+               "at_second", "needs x_1 = y_k")
+    elif name == "empty_x":
+        report = check_duality((), (1, 0), "D", 1, P_HALF_QUARTER)
+        row = ("duality", [], [1, 0], hom, 1, "D", "1/1", "1/1", "pass", None, "")
+    elif name == "by_site":
+        report = check_duality((0,), (1,), "H", 1, INHOM)
+        lhs, rhs = (f"{v.numerator}/{v.denominator}" for v in (report.lhs, report.rhs))
+        by_site = {"q": "1/2", "b2_default": "1/4",
+                   "b2_sites": {"0": "1/4", "1": "1/2", "2": "1/3"}}
+        row = ("duality", [0], [1], by_site, 1, "H", lhs, rhs, report.verdict, None, "")
+    elif name == "truncation":
+        report = check_truncation_invariance((0, 2), (3, 1), (5, 7), "H", P_HALF_QUARTER)
+        lhs = f"{report.lhs.numerator}/{report.lhs.denominator}"
+        assert report.detail.startswith("reversed side: ")
+        row = ("truncation_invariance", [0, 2, 5, 7], [3, 1], hom, 1, "H", lhs, lhs,
+               "pass", None, report.detail)
+    elif name == "escaped_detail":
+        detail = 'say "why" \\ for ℓ ≥ 2\n'
+        report = CheckReport(
+            "case_identities", (0,), (1,), P_HALF_QUARTER, 1, None, None, None, "skip",
+            None, detail,
+        )
+        row = ("case_identities", [0], [1], hom, 1, None, None, None, "skip", None, detail)
+    else:  # past the digit limit on both sides
+        report = CheckReport(
+            "duality", (0,), (1,), P_HALF_QUARTER, 1500, "H", SEVENS, 1 - SEVENS, None
+        )
+        twos = "2" * 4399 + "3/1" + "0" * 4400
+        row = ("duality", [0], [1], hom, 1500, "H", SEVENS_TEXT, twos, "fail", None, "")
+    return report, dict(zip(fields, row))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pass", "fail", "skip", "empty_x", "by_site", "truncation", "escaped_detail",
+     "past_digit_limit"],
+)
+def test_report_line_is_what_json_dumps_prints(name):
+    report, expected = _report_and_dict(name)
+    assert report.to_json_line() == json.dumps(expected)
+    assert report.to_json_obj() == expected
 
 
 # --- classification ---------------------------------------------------------------
@@ -438,6 +508,26 @@ def test_sweep_reports_equal_the_per_instance_checks(params, mutation):
         for x, y in pairs
     ]
     assert [r.to_json_obj() for r in run_sweep(spec, mutation).reports] == expected
+
+
+def test_sweep_yields_reports_before_the_next_parameter_set_is_built(monkeypatch):
+    calls = []
+    original = verify.expectation_table
+
+    def counting_table(side, *args):
+        calls.append(side)
+        return original(side, *args)
+
+    monkeypatch.setattr(verify, "expectation_table", counting_table)
+    spec = SweepSpec(
+        max_ell=1, max_k=1, window=(0, 2), params_list=(P_HALF_QUARTER, INHOM)
+    )
+    reports = iter_sweep(spec)
+    first = next(reports)
+    assert (first.params, calls) == (P_HALF_QUARTER, ["forward", "reversed"])
+    rest = list(reports)
+    assert len(calls) == 4
+    assert [first, *rest] == run_sweep(spec).reports
 
 
 def test_a_sweep_scans_each_step_of_a_law_once(monkeypatch):
