@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Probe how site-dependent pass weights break the forward/reversed duality.
+"""Probe how site-dependent pass weights act on the forward/reversed duality.
 
-Runs the duality sweep with a palette of b2 values cycled over a window
-(b1 follows as q*b2 with fixed q), prints a census of the failures, the
-minimal counterexample, and the one-step column sums that explain the
-obstruction: for the mirror reversal to be dual the reversed kernel would
-have to transpose the forward one, but the transposed columns do not sum
-to 1 once b2 varies by site.
+Runs the duality sweep of H and D with a palette of b2 values cycled over a
+window (b1 follows as q*b2 with fixed q) and prints a failure census per
+kind, the minimal counterexample, and the one-step transposed column sums.
+H (and G) fail once b2 varies by site: for the mirror reversal to be dual
+for them the reversed kernel would have to transpose the forward one, and
+the transposed columns do not sum to 1.  D stays dual on every palette
+tried, so its census reads 0.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,17 +61,18 @@ def main() -> int:
         window=(lo, hi),
         t_range=(1,),
         params_list=(params,),
-        kinds=("H",),
+        kinds=("H", "D"),
     )
     result = run_sweep(spec)
     print("summary:", json.dumps(result.summary()))
 
-    census: dict[tuple[int, int], int] = {}
-    for report in result.failures:
-        key = (len(report.x), len(report.y))
-        census[key] = census.get(key, 0) + 1
-    for (ell, k), count in sorted(census.items()):
-        print(f"  failures with {ell} particles / {k} dual points: {count}")
+    census = Counter((r.kind, len(r.x), len(r.y)) for r in result.failures)
+    for kind in spec.kinds:
+        total = sum(n for (k, _, _), n in census.items() if k == kind)
+        print(f"kind {kind}: {total} failures")
+        for (k, ell, dual), count in sorted(census.items()):
+            if k == kind:
+                print(f"  failures with {ell} particles / {dual} dual points: {count}")
 
     if result.failures:
         witness = min(
@@ -77,7 +80,7 @@ def main() -> int:
             key=lambda r: (len(r.x) + len(r.y), len(r.x), r.x, r.y),
         )
         print(
-            f"minimal counterexample: x={witness.x} y={witness.y} "
+            f"minimal counterexample: kind {witness.kind} x={witness.x} y={witness.y} "
             f"forward={format_rational(witness.lhs)} "
             f"reversed={format_rational(witness.rhs)}"
         )

@@ -227,13 +227,6 @@ def _forward_entries(
 
 
 @lru_cache(maxsize=None)
-def _reversed_entries(
-    positions: tuple[int, ...], params: Params, L: int, mutation: Mutation | None
-) -> ScaledLaw:
-    return _step_distribution(positions, params, L, -1, mutation)
-
-
-@lru_cache(maxsize=None)
 def _evolve(
     state: State,
     params: Params,
@@ -273,11 +266,14 @@ def _expect(
     kind: str,
     t: int,
     params: Params,
-    boundary: int | None,
     mutation: Mutation | None,
     step: int,
 ) -> Fraction:
-    """The body of :func:`expect_forward` (step +1) and :func:`expect_reversed` (-1)."""
+    """The body of :func:`expect_forward` (step +1) and :func:`expect_reversed` (-1).
+
+    The lump boundary is the fixed configuration's first point: y_1 forward,
+    x_1 reversed.
+    """
     _require_kind(kind)
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -285,11 +281,7 @@ def _expect(
     if not fixed:
         values = _without_dual_points(x, y)
     else:
-        if boundary is None:
-            boundary = fixed[0]
-        elif (boundary - fixed[0]) * step < 0:
-            bound = "at least y_1" if step > 0 else "at most x_1"
-            raise ValueError(f"lump boundary {boundary} must be {bound} = {fixed[0]}")
+        boundary = fixed[0]
         mutation, q = _law_mutation_and_q(params, mutation)
         law = _evolve(_fold(moving, boundary, step), params, boundary, t, mutation, step)
         values = _contract(law, fixed, len(y), step, q)
@@ -355,16 +347,15 @@ def expect_forward(
     kind: str,
     t: int,
     params: Params,
-    boundary: int | None = None,
     mutation: Mutation | None = None,
 ) -> Fraction:
     """E^x[kind(x(t), y)] as an exact rational, for already validated x and y.
 
     Internal workhorse: accepts empty y (empty product, so the value is 1)
     so the identity checkers can express their sub-expectations.  The lump
-    boundary defaults to y_1 and may be enlarged freely.
+    boundary is y_1.
     """
-    return _expect(x, y, kind, t, params, boundary, mutation, +1)
+    return _expect(x, y, kind, t, params, mutation, +1)
 
 
 def expect_reversed(
@@ -373,43 +364,33 @@ def expect_reversed(
     kind: str,
     t: int,
     params: Params,
-    boundary: int | None = None,
     mutation: Mutation | None = None,
 ) -> Fraction:
     """E^y[kind(x, y(t))] as an exact rational; mirror of :func:`expect_forward`.
 
     Accepts empty x: then every g factor is 0, so H vanishes while G and D
-    are products of q^0 = 1 whatever y does.  The lump boundary defaults to
-    x_1 and may be lowered freely.
+    are products of q^0 = 1 whatever y does.  The lump boundary is x_1.
     """
-    return _expect(x, y, kind, t, params, boundary, mutation, -1)
+    return _expect(x, y, kind, t, params, mutation, -1)
 
 
 def expect_one_step_held(
-    side: str,
     x: LocationConfig,
     y: ReversedConfig,
     kind: str,
     params: Params,
 ) -> Fraction:
-    """One-step expectation restricted to the first-updating particle holding.
+    """E^x[kind(x(1), y) ; x_1(1) = x_1]: the forward step with the leftmost particle held.
 
-    side = "forward": E^x[kind(x(1), y) ; x_1(1) = x_1] — the event filter
-    conditions on the leftmost particle staying put.  side = "reversed" is
-    the mirror for the rightmost dual particle.  The moving configuration
-    must be nonempty; x and y must be validated already.
+    x must be nonempty; x and y must be validated already.
     """
     _require_kind(kind)
-    step = _step_of(side)
-    moving, fixed = _oriented(step, x, y)
-    if not moving:
-        raise ValueError(f"the {side} filter needs a nonempty moving configuration")
+    if not x:
+        raise ValueError("the held law needs at least one particle")
     # a boundary past every site leaves nothing lumped at the start
-    boundary = step * max(step * p for p in x + y)
-    one_step = _forward_entries if step > 0 else _reversed_entries
-    law = one_step(moving, params, boundary, None)
-    held = tuple((state, num) for state, num in law.entries if state[:1] == moving[:1])
-    values = _contract(ScaledLaw(law.den, held), fixed, len(y), step, params.q)
+    law = _forward_entries(x, params, max(x + y), None)
+    held = tuple((state, num) for state, num in law.entries if state[:1] == x[:1])
+    values = _contract(ScaledLaw(law.den, held), y, len(y), +1, params.q)
     return values[KINDS.index(kind)]
 
 

@@ -29,10 +29,11 @@ next particle is pushed; partial states that agree on all three are merged,
 so a step of a t-step law costs one pass per particle over the merged
 states, not one enumeration per outcome.  The moves of a particle at a
 given (position, cap) are two integer lists over one denominator, free
-(hold with b1, then each landing) and pushed (landings only); each pair is
-built and checked once and cached, and a pass brings the pairs it uses to
-the lcm of their denominators.  A one-step law is the scan of a one-entry
-law.
+(hold with b1, then each landing) and pushed (landings only), with every
+factor read from :func:`~sixv.model.vertex_weight` (hold V, depart VI,
+pass III, land IV); each pair is built and checked once and cached, and a
+pass brings the pairs it uses to the lcm of their denominators.  A one-step
+law is the scan of a one-entry law.
 
 Every law is a :class:`ScaledLaw`: one denominator over integer numerators
 in lowest terms, keyed by resolved positions, checked after every scan;
@@ -60,8 +61,10 @@ from sixv.model import (
     LocationConfig,
     Params,
     ReversedConfig,
+    VertexType,
     validate_location,
     validate_reversed,
+    vertex_weight,
 )
 
 
@@ -146,27 +149,30 @@ def _particle_moves(
     which lies inside the boundary whenever the scan runs.  Cached, so each
     list is built and checked (:func:`_check_moves`) once per process.
     """
-    # landings given departure: (site, numerator, running b2 denominator)
+    # landings given departure: (site, numerator, running denominator); a
+    # site passed weighs type III, the landing site type IV, and the two
+    # share a denominator
     walk: list[tuple[int | None, int, int]] = []
     through, through_den = 1, 1
     z = u + step
     while z != cap and (z - boundary) * step <= 0:
-        b2 = params.b2_at(z)
-        a, b = b2.numerator, b2.denominator
-        walk.append((z, through * (b - a), through_den * b))
-        through, through_den = through * a, through_den * b
+        land = vertex_weight(VertexType.IV, params, z)
+        passed = vertex_weight(VertexType.III, params, z)
+        walk.append((z, through * land.numerator, through_den * land.denominator))
+        through, through_den = through * passed.numerator, through_den * passed.denominator
         z += step
     free_walk = walk + [(cap, through, through_den)]
     pushed_walk = free_walk
     if cap is not None and mutation is Mutation.LANDING_FACTOR:
-        b2 = params.b2_at(cap)
-        a, b = b2.numerator, b2.denominator
-        pushed_walk = walk + [(cap, through * (b - a), through_den * b)]
+        land = vertex_weight(VertexType.IV, params, cap)
+        pushed_walk = walk + [(cap, through * land.numerator, through_den * land.denominator)]
     walk_den = pushed_walk[-1][2]  # every other walk denominator divides it
-    b1 = params.b1_at(u)
-    hold, hold_den = b1.numerator, b1.denominator
-    free = ((u, hold * walk_den),) + tuple(
-        (site, (hold_den - hold) * num * (walk_den // d)) for site, num, d in free_walk
+    # hold (type V) and depart (type VI) share a denominator
+    hold = vertex_weight(VertexType.V, params, u)
+    depart = vertex_weight(VertexType.VI, params, u)
+    hold_den = hold.denominator
+    free = ((u, hold.numerator * walk_den),) + tuple(
+        (site, depart.numerator * num * (walk_den // d)) for site, num, d in free_walk
     )
     pushed = tuple((site, hold_den * num * (walk_den // d)) for site, num, d in pushed_walk)
     den = hold_den * walk_den

@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 # A strictly increasing tuple of occupied sites (forward process order).
@@ -300,21 +301,21 @@ class VertexType(Enum):
     VI = 6
 
 
+@lru_cache(maxsize=None)
 def vertex_weight(vtype: VertexType, params: Params, site: int = 0) -> Fraction:
     """Stochastic weight of a vertex type at ``site``.
 
     Types I and II are frozen (weight 1); III/IV carry the pass-through
     probability and V/VI the hold probability.  Complementary pairs sum
-    to 1, which is what makes the row-to-row update a Markov kernel.
+    to 1, which is what makes the row-to-row update a Markov kernel.  The
+    exact engine reads every factor of its move lists from here, site by
+    site along each walk, so the weights are cached rather than rebuilt as
+    new Fractions on every read.
     """
-    b1 = params.b1_at(site)
-    b2 = params.b2_at(site)
-    table = {
-        VertexType.I: Fraction(1),
-        VertexType.II: Fraction(1),
-        VertexType.III: b2,
-        VertexType.IV: 1 - b2,
-        VertexType.V: b1,
-        VertexType.VI: 1 - b1,
-    }
-    return table[vtype]
+    if vtype in (VertexType.I, VertexType.II):
+        return Fraction(1)
+    if vtype in (VertexType.III, VertexType.IV):
+        weight = params.b2_at(site)
+    else:
+        weight = params.b1_at(site)
+    return weight if vtype in (VertexType.III, VertexType.V) else 1 - weight

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
@@ -71,9 +71,10 @@ CASE_LABELS = (
 class CheckReport:
     """Outcome of one identity check; verdict is exact-equality, never fuzzy.
 
-    A ``verdict`` of None is derived from the values: "pass" exactly when
-    lhs = rhs, else "fail".  A "pass" or "fail" given explicitly is checked
-    against them.  Either way the two sides are compared once.
+    The verdict is not an argument; it is worked out from the values, with
+    one comparison: "skip" exactly when lhs and rhs are both None, else
+    "pass" exactly when lhs = rhs and "fail" otherwise.  A report with only
+    one side None is an error.
     """
 
     identity: str
@@ -84,23 +85,18 @@ class CheckReport:
     kind: str | None
     lhs: Fraction | None
     rhs: Fraction | None
-    verdict: str | None  # "pass" | "fail" | "skip", or None to derive pass/fail
+    verdict: str = field(init=False)  # "pass" | "fail" | "skip"
     case: str | None = None
     detail: str = ""
 
     def __post_init__(self) -> None:
-        verdict = self.verdict
-        if verdict == "skip":
-            return
-        if verdict not in (None, "pass", "fail"):
-            raise ValueError(f"bad verdict {verdict!r}")
-        if self.lhs is None or self.rhs is None:
-            raise ValueError("checked reports need both sides")
-        derived = "pass" if self.lhs == self.rhs else "fail"
-        if verdict is None:
-            object.__setattr__(self, "verdict", derived)
-        elif verdict != derived:
-            raise ValueError("verdict must be pass exactly when lhs = rhs")
+        if self.lhs is None and self.rhs is None:
+            verdict = "skip"
+        elif self.lhs is None or self.rhs is None:
+            raise ValueError("a report needs both sides or neither")
+        else:
+            verdict = "pass" if self.lhs == self.rhs else "fail"
+        object.__setattr__(self, "verdict", verdict)
 
     def to_json_line(self) -> str:
         """The report as one JSON object, exactly as ``json.dumps`` prints :meth:`to_json_obj`.
@@ -130,34 +126,6 @@ class CheckReport:
 def _json_rational(value: Fraction | None) -> str:
     # num/den holds only digits, "-" and "/", which JSON strings take as is
     return "null" if value is None else f'"{format_rational(value)}"'
-
-
-def _checked(
-    identity: str,
-    x: tuple[int, ...],
-    y: tuple[int, ...],
-    params: Params,
-    t: int,
-    kind: str | None,
-    lhs: Fraction,
-    rhs: Fraction,
-    case: str | None = None,
-    detail: str = "",
-) -> CheckReport:
-    return CheckReport(identity, x, y, params, t, kind, lhs, rhs, None, case, detail)
-
-
-def _skipped(
-    identity: str,
-    x: tuple[int, ...],
-    y: tuple[int, ...],
-    params: Params,
-    t: int,
-    kind: str | None,
-    reason: str,
-    case: str | None = None,
-) -> CheckReport:
-    return CheckReport(identity, x, y, params, t, kind, None, None, "skip", case, reason)
 
 
 def classify_case(x: tuple[int, ...], y: tuple[int, ...]) -> str:
@@ -204,9 +172,7 @@ def check_duality(
     y = validate_reversed(y)
     lhs = expect_forward(x, y, kind, t, params, mutation=mutation)
     rhs = expect_reversed(x, y, kind, t, params, mutation=mutation)
-    return _checked(
-        "duality", x, y, params, t, kind, lhs, rhs, case=_case_label(x, y)
-    )
+    return CheckReport("duality", x, y, params, t, kind, lhs, rhs, _case_label(x, y))
 
 
 def check_truncation_invariance(
@@ -215,11 +181,12 @@ def check_truncation_invariance(
     extra_right_particles: Sequence[int],
     kind: str,
     params: Params,
-) -> CheckReport:
+) -> tuple[CheckReport, CheckReport]:
     """Extra particles strictly right of y_1 must change neither expectation.
 
-    lhs/rhs report the forward pair (augmented vs original); the reversed
-    pair is compared too and folded into the verdict, with values in detail.
+    One report per side, "truncation_invariance_forward" and
+    "truncation_invariance_reversed": x is the augmented configuration, lhs
+    the expectation from it and rhs the one from the original x.
     """
     x, y = validate_instance(x, y)
     extras = validate_location(sorted(extra_right_particles))
@@ -230,19 +197,12 @@ def check_truncation_invariance(
     if set(extras) & set(x):
         raise ValueError("extra particles collide with existing ones")
     augmented = tuple(sorted(x + extras))
-    fwd_aug = expect_forward(augmented, y, kind, 1, params)
-    fwd = expect_forward(x, y, kind, 1, params)
-    rev_aug = expect_reversed(augmented, y, kind, 1, params)
-    rev = expect_reversed(x, y, kind, 1, params)
-    if fwd_aug == fwd and rev_aug != rev:
-        # forward matched but reversed did not: surface as failure
-        lhs, rhs, detail = rev_aug, rev, "reversed side diverged"
-    else:
-        lhs, rhs = fwd_aug, fwd
-        detail = f"reversed side: {format_rational(rev_aug)} vs {format_rational(rev)}"
-    return _checked(
-        "truncation_invariance", augmented, y, params, 1, kind, lhs, rhs,
-        detail=detail,
+    return tuple(
+        CheckReport(
+            f"truncation_invariance_{side}", augmented, y, params, 1, kind,
+            engine(augmented, y, kind, 1, params), engine(x, y, kind, 1, params),
+        )
+        for side, engine in (("forward", expect_forward), ("reversed", expect_reversed))
     )
 
 
@@ -267,7 +227,7 @@ def check_lemma_factorization(
         raise ValueError(
             f"x_1 = {x1} lies above y_k = {yk}; no factorization variant applies"
         )
-    held = expect_one_step_held("forward", x, y, "H", params)
+    held = expect_one_step_held(x, y, "H", params)
     coeff = params.q ** (-k) * params.b1_at(x1)
     label = _case_label(x, y)
     pinned = x1 == yk
@@ -277,9 +237,9 @@ def check_lemma_factorization(
         ("hold_factorization_pinned", pinned, "needs x_1 = y_k"),
     )
     return tuple(
-        _checked(identity, x, y, params, 1, "H", held, rhs, case=label)
+        CheckReport(identity, x, y, params, 1, "H", held, rhs, label)
         if applies
-        else _skipped(identity, x, y, params, 1, "H", reason, case=label)
+        else CheckReport(identity, x, y, params, 1, "H", None, None, label, reason)
         for identity, applies, reason in variants
     )
 
@@ -304,8 +264,8 @@ def check_case_identities(
     x, y = validate_instance(x, y)
     if len(x) < 2:
         return [
-            _skipped(
-                "case_identities", x, y, params, 1, "H",
+            CheckReport(
+                "case_identities", x, y, params, 1, "H", None, None, None,
                 "fewer_than_two_particles: no decomposition below two particles",
             )
         ]
@@ -327,7 +287,7 @@ def check_case_identities(
         right-hand sides always carry the same coefficients.
         """
         return [
-            _checked(
+            CheckReport(
                 f"{name}_{side}", x, y, params, 1, "H", engine(x, y), rhs(engine), case
             )
             for side, engine in (("forward", fwd), ("reversed", rev))
@@ -349,10 +309,9 @@ def check_case_identities(
     # closed-form coefficients exist only when the parameters are uniform.
     if not params.is_homogeneous():
         return [
-            _skipped(
-                "case_identities", x, y, params, 1, "H",
+            CheckReport(
+                "case_identities", x, y, params, 1, "H", None, None, case,
                 f"{case}: coefficients do not factor for site-dependent parameters",
-                case,
             )
         ]
     b1, b2 = params.b1, params.b2
@@ -366,10 +325,10 @@ def check_case_identities(
             lambda e: q ** (-k) * e(xp, y)
             + gap * (q ** (-k) * e(xp, yp) + q ** (-(2 * k - 1)) * cross * e(xpp, yp)),
         )
-        link = _checked(
+        link = CheckReport(
             "second_site_link", x, y, params, 1, "H",
             fwd(xp, y), b1 * q ** (-k) * fwd(xpp, yp), case,
-            detail="first sub-expectation ties to the two-particle-deep one",
+            "first sub-expectation ties to the two-particle-deep one",
         )
         return reports + [link]
 
@@ -514,7 +473,7 @@ def iter_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> Iterator[Ch
             i = KINDS.index(kind)
             for t in spec.t_range:
                 for (x, y), case, lhs, rhs in zip(pairs, cases, lhs_table[t], rhs_table[t]):
-                    yield _checked("duality", x, y, params, t, kind, lhs[i], rhs[i], case)
+                    yield CheckReport("duality", x, y, params, t, kind, lhs[i], rhs[i], case)
 
 
 def run_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> SweepResult:

@@ -11,7 +11,6 @@ from sixv import duality, verify
 from sixv.duality import (
     _evolve,
     _forward_entries,
-    _reversed_entries,
     eval_functional,
     exact_expectation_forward,
     exact_expectation_reversed,
@@ -23,7 +22,7 @@ from sixv.dynamics import (
     forward_step_distribution,
     reversed_step_distribution,
 )
-from sixv.model import STANDARD_PARAMS, Params
+from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
 from sixv.verify import (
     CheckReport,
     SweepSpec,
@@ -55,21 +54,31 @@ small_y = st.lists(
 # --- reports ---------------------------------------------------------------------
 
 
-def test_report_verdict_must_match_the_values():
-    with pytest.raises(ValueError):
+def _report(lhs, rhs):
+    return CheckReport("duality", (0,), (0,), P_HALF_QUARTER, 1, "H", lhs, rhs)
+
+
+def test_report_verdict_is_worked_out_from_the_values():
+    assert _report(Fraction(1), Fraction(1)).verdict == "pass"
+    assert _report(Fraction(1), Fraction(2)).verdict == "fail"
+    assert _report(Fraction(0), Fraction(0)).verdict == "pass"
+
+
+def test_a_skip_report_holds_no_values():
+    report = _report(None, None)
+    assert (report.lhs, report.rhs, report.verdict) == (None, None, "skip")
+    # the verdict is not an argument, so no report with values can be a skip
+    with pytest.raises(TypeError):
         CheckReport(
             "duality", (0,), (0,), P_HALF_QUARTER, 1, "H",
-            Fraction(1), Fraction(2), "pass",
+            Fraction(1), Fraction(2), verdict="skip",
         )
-    with pytest.raises(ValueError):
-        CheckReport(
-            "duality", (0,), (0,), P_HALF_QUARTER, 1, "H",
-            Fraction(1), Fraction(1), "fail",
-        )
-    with pytest.raises(ValueError):
-        CheckReport(
-            "duality", (0,), (0,), P_HALF_QUARTER, 1, "H", None, None, "pass"
-        )
+
+
+@pytest.mark.parametrize("lhs,rhs", [(Fraction(1), None), (None, Fraction(1))])
+def test_a_report_with_one_side_none_is_rejected(lhs, rhs):
+    with pytest.raises(ValueError, match="both sides or neither"):
+        _report(lhs, rhs)
 
 
 def test_report_json_shape():
@@ -107,7 +116,7 @@ def _report_and_dict(name):
     elif name == "fail":
         report = CheckReport(
             "duality", (0, 1, 4), (4,), P_HALF_QUARTER, 1, "D",
-            Fraction(-3, 8), Fraction(1, 2), None, "at_third_or_later",
+            Fraction(-3, 8), Fraction(1, 2), "at_third_or_later",
         )
         row = ("duality", [0, 1, 4], [4], hom, 1, "D", "-3/8", "1/2", "fail",
                "at_third_or_later", "")
@@ -125,21 +134,20 @@ def _report_and_dict(name):
                    "b2_sites": {"0": "1/4", "1": "1/2", "2": "1/3"}}
         row = ("duality", [0], [1], by_site, 1, "H", lhs, rhs, report.verdict, None, "")
     elif name == "truncation":
-        report = check_truncation_invariance((0, 2), (3, 1), (5, 7), "H", P_HALF_QUARTER)
+        report = check_truncation_invariance((0, 2), (3, 1), (5, 7), "H", P_HALF_QUARTER)[1]
         lhs = f"{report.lhs.numerator}/{report.lhs.denominator}"
-        assert report.detail.startswith("reversed side: ")
-        row = ("truncation_invariance", [0, 2, 5, 7], [3, 1], hom, 1, "H", lhs, lhs,
-               "pass", None, report.detail)
+        row = ("truncation_invariance_reversed", [0, 2, 5, 7], [3, 1], hom, 1, "H", lhs, lhs,
+               "pass", None, "")
     elif name == "escaped_detail":
         detail = 'say "why" \\ for ℓ ≥ 2\n'
         report = CheckReport(
-            "case_identities", (0,), (1,), P_HALF_QUARTER, 1, None, None, None, "skip",
-            None, detail,
+            "case_identities", (0,), (1,), P_HALF_QUARTER, 1, None, None, None, None,
+            detail,
         )
         row = ("case_identities", [0], [1], hom, 1, None, None, None, "skip", None, detail)
     else:  # past the digit limit on both sides
         report = CheckReport(
-            "duality", (0,), (1,), P_HALF_QUARTER, 1500, "H", SEVENS, 1 - SEVENS, None
+            "duality", (0,), (1,), P_HALF_QUARTER, 1500, "H", SEVENS, 1 - SEVENS
         )
         twos = "2" * 4399 + "3/1" + "0" * 4400
         row = ("duality", [0], [1], hom, 1500, "H", SEVENS_TEXT, twos, "fail", None, "")
@@ -225,10 +233,14 @@ def test_duality_fails_for_site_dependent_parameters():
 
 
 def test_extra_particles_right_of_the_top_dual_point_are_invisible():
-    report = check_truncation_invariance((0, 1), (2, 0), (3, 5), "H", P_HALF_QUARTER)
-    assert report.verdict == "pass"
-    assert report.x == (0, 1, 3, 5)
-    assert "reversed side" in report.detail
+    reports = check_truncation_invariance((0, 1), (2, 0), (3, 5), "H", P_HALF_QUARTER)
+    assert [r.identity for r in reports] == [
+        "truncation_invariance_forward",
+        "truncation_invariance_reversed",
+    ]
+    for report in reports:
+        assert report.verdict == "pass"
+        assert report.x == (0, 1, 3, 5)
 
 
 @settings(max_examples=40)
@@ -244,8 +256,8 @@ def test_extra_particles_right_of_the_top_dual_point_are_invisible():
     params=st.sampled_from(STANDARD_PARAMS),
 )
 def test_truncation_invariance_property(x, y, extras, kind, params):
-    report = check_truncation_invariance(x, y, extras, kind, params)
-    assert report.verdict == "pass"
+    reports = check_truncation_invariance(x, y, extras, kind, params)
+    assert [r.verdict for r in reports] == ["pass", "pass"]
 
 
 def test_truncation_rejects_extras_at_or_below_the_top_dual_point():
@@ -543,7 +555,7 @@ def test_a_sweep_scans_each_step_of_a_law_once(monkeypatch):
     monkeypatch.setattr(duality, "_scan", counting_scan)
 
     def scans_of(t_range):
-        for cache in (_evolve, _forward_entries, _reversed_entries, _particle_moves):
+        for cache in (_evolve, _forward_entries, _particle_moves):
             cache.cache_clear()
         scans.clear()
         run_sweep(SweepSpec(
@@ -576,6 +588,28 @@ def test_site_dependent_sweep_reports_failures_with_a_witness():
     witness = result.failures[0]
     assert witness.verdict == "fail"
     assert witness.lhs != witness.rhs
+
+
+def test_d_stays_dual_under_site_dependent_b2_and_each_defect_breaks_it():
+    # the palette 1/4, 1/3, 1/2 cycled over 0:6 with q = 1/2: H and G fail
+    # there, D does not.  ℓ = 3 is needed: with ℓ ≤ 2, LANDING_FACTOR
+    # leaves D intact on this palette
+    spec = SweepSpec(
+        max_ell=3, max_k=2, window=(0, 6), t_range=(1, 2),
+        params_list=(cycled_inhom_params(0, 6),), kinds=("H", "G", "D"),
+    )
+
+    def failed(mutation):
+        counts = dict.fromkeys(spec.kinds, 0)
+        for report in run_sweep(spec, mutation).failures:
+            counts[report.kind] += 1
+        return counts
+
+    clean = failed(None)
+    assert clean["H"] > 0 and clean["G"] > 0
+    assert clean["D"] == 0
+    for mutation in Mutation:
+        assert failed(mutation)["D"] > 0, mutation
 
 
 # --- input validation at the public entry points -------------------------------------
@@ -644,7 +678,7 @@ def test_inverted_q_reuses_the_clean_laws():
         max_ell=2, max_k=2, window=(0, 3), t_range=(1, 2),
         params_list=(P_HALF_QUARTER,), kinds=("H", "G", "D"),
     )
-    caches = (_evolve, _forward_entries, _reversed_entries, _particle_moves)
+    caches = (_evolve, _forward_entries, _particle_moves)
     checks = [(x, y, t) for x, y in iter_config_pairs(spec) for t in spec.t_range]
     clean = run_sweep(spec)
     for x, y, t in checks:
