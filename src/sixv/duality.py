@@ -24,7 +24,12 @@ particles beyond R = y_1 sit right of every evaluation point, reversed
 particles below L = x_1 see an empty left tail (factor 0 for H, 1 for G
 and D).  Nothing is truncated; every result is an exact rational.  An
 outcome of a law is its resolved positions: particles are conserved, so
-ℓ − len(positions) of the ℓ moving ones are lumped.
+ℓ − len(positions) of the ℓ moving ones are lumped.  A side with no fixed
+points (no dual points forward, no particles reversed) lumps everything:
+it starts from the empty state, which no scan changes, and contracts to
+the empty products.  So every pair takes the same path, orient, fold
+(:func:`_fold`, the one place that picks the boundary), advance and
+contract, whatever is empty.
 
 The engine works in scaled integers.  Every law is a
 :class:`~sixv.dynamics.ScaledLaw`, one denominator over integer numerators.
@@ -168,9 +173,11 @@ def _contract(
     beyond R sit right of every dual point: a factor 1 in all kinds.
     Reversed, a lumped dual point (an outcome with fewer than k positions)
     sits left of every particle: g = 0 there, which kills H, and height 0,
-    a factor 1 for G and D.  Each m is at most k times the particle count,
-    top; with q = a/b, q^(-m) = b^m a^(top-m) / a^top, so the three sums
-    are integer numerators over the one denominator a^top * den.
+    a factor 1 for G and D.  So the all-lumped law of an empty fixed side
+    gives the empty products: (1, 1, 1) without dual points, (0, 1, 1)
+    without particles.  Each m is at most k times the particle count, top;
+    with q = a/b, q^(-m) = b^m a^(top-m) / a^top, so the three sums are
+    integer numerators over the one denominator a^top * den.
     """
     forward = step > 0
     top = k * (max((len(p) for p, _ in law.entries), default=0) if forward else len(fixed))
@@ -195,28 +202,26 @@ def _contract(
     return Fraction(h, den), Fraction(g, den), Fraction(d, den)
 
 
-def _without_dual_points(x: tuple[int, ...], y: tuple[int, ...]) -> Values:
-    """(H, G, D) where the fixed side is empty, which no move can change.
-
-    Without dual points every kind is the empty product 1; without
-    particles H is 0 and G, D are q^0 = 1.
-    """
-    return tuple(
-        Fraction(0 if _exponent_at_points(kind, x, y) is None else 1) for kind in KINDS
-    )
-
-
 # --- exact engines ---------------------------------------------------------------
 
 
-def _fold(moving: tuple[int, ...], boundary: int, step: int) -> State:
-    """Initial DP state: positions beyond the boundary enter the lump at once.
+def _fold(
+    moving: tuple[int, ...], fixed: tuple[int, ...], step: int
+) -> tuple[State, int | None]:
+    """Start state and lump boundary: the fixed configuration's first point.
 
-    Exact because a resolved particle's walk lumps at the boundary before it
-    could ever reach a beyond-boundary neighbour's pre-update position, with
-    the same crossing mass either way.
+    The boundary is y_1 forward and x_1 reversed, and moving positions
+    beyond it enter the lump at once.  Exact because a resolved particle's
+    walk lumps at the boundary before it could ever reach a
+    beyond-boundary neighbour's pre-update position, with the same crossing
+    mass either way.  With nothing fixed every moving point is lumped: the
+    start is the empty state, which a scan passes through without reading
+    its boundary (None).
     """
-    return tuple(p for p in moving if (p - boundary) * step <= 0)
+    if not fixed:
+        return (), None
+    boundary = fixed[0]
+    return tuple(p for p in moving if (p - boundary) * step <= 0), boundary
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +235,7 @@ def _forward_entries(
 def _evolve(
     state: State,
     params: Params,
-    boundary: int,
+    boundary: int | None,
     t: int,
     mutation: Mutation | None,
     step: int,
@@ -269,23 +274,15 @@ def _expect(
     mutation: Mutation | None,
     step: int,
 ) -> Fraction:
-    """The body of :func:`expect_forward` (step +1) and :func:`expect_reversed` (-1).
-
-    The lump boundary is the fixed configuration's first point: y_1 forward,
-    x_1 reversed.
-    """
+    """The body of :func:`expect_forward` (step +1) and :func:`expect_reversed` (-1)."""
     _require_kind(kind)
     if t < 0:
         raise ValueError("t must be >= 0")
+    mutation, q = _law_mutation_and_q(params, mutation)
     moving, fixed = _oriented(step, x, y)
-    if not fixed:
-        values = _without_dual_points(x, y)
-    else:
-        boundary = fixed[0]
-        mutation, q = _law_mutation_and_q(params, mutation)
-        law = _evolve(_fold(moving, boundary, step), params, boundary, t, mutation, step)
-        values = _contract(law, fixed, len(y), step, q)
-    return values[KINDS.index(kind)]
+    state, boundary = _fold(moving, fixed, step)
+    law = _evolve(state, params, boundary, t, mutation, step)
+    return _contract(law, fixed, len(y), step, q)[KINDS.index(kind)]
 
 
 def expectation_table(
@@ -301,34 +298,29 @@ def expectation_table(
     order; each value is what :func:`expect_forward` (or
     :func:`expect_reversed`) gives for that pair, kind and t.  The pairs
     must be validated already.  Pairs whose moving configuration folds to
-    the same start share one law: forward keyed by (fold of x, y_1),
-    reversed by (fold of y, x_1).  Each law is advanced through the
-    horizons in increasing order, one scan per step, so the law at t
-    continues from the one at the horizon before, and it is contracted once
-    per distinct (fixed configuration, k) for all three kinds.  k is part
-    of the key because reversed H drops lumped outcomes: two y of
-    different length can fold to the same law.
+    the same start share one law, keyed by :func:`_fold`'s (start, lump
+    boundary); every pair with nothing fixed shares the empty start.  Each
+    law is advanced through the horizons in increasing order, one scan per
+    step, so the law at t continues from the one at the horizon before, and
+    it is contracted once per distinct (fixed configuration, k) for all
+    three kinds.  k is part of the key because reversed H drops lumped
+    outcomes: two y of different length can fold to the same law.
     """
     step = _step_of(side)
     mutation, q = _law_mutation_and_q(params, mutation)
     horizons = sorted(set(horizons))
     if horizons and horizons[0] < 0:
         raise ValueError("t must be >= 0")
-    # each pair's key into ``values``: (law, fixed, k), or the pair itself
-    # when it has no fixed configuration to contract against
+    # each pair's key into ``values``: (law, fixed, k)
     slots: list[tuple] = []
-    values: dict[tuple, list[Values]] = {}
-    contractions: dict[tuple[State, int], dict[tuple, None]] = {}
+    contractions: dict[tuple[State, int | None], dict[tuple, None]] = {}
     for x, y in pairs:
         moving, fixed = _oriented(step, x, y)
-        if fixed:
-            law_key = (_fold(moving, fixed[0], step), fixed[0])
-            key = (law_key, fixed, len(y))
-            contractions.setdefault(law_key, {})[key] = None
-        else:
-            key = (x, y)
-            values[key] = [_without_dual_points(x, y)] * len(horizons)
+        law_key = _fold(moving, fixed, step)
+        key = (law_key, fixed, len(y))
+        contractions.setdefault(law_key, {})[key] = None
         slots.append(key)
+    values: dict[tuple, list[Values]] = {}
     for (state, boundary), keys in contractions.items():
         law, done = ScaledLaw(1, ((state, 1),)), 0
         for t in horizons:

@@ -369,12 +369,19 @@ class SweepSpec:
             raise ValueError("max_k must be at least 1 (dual configs are nonempty)")
         if self.max_ell < 0:
             raise ValueError("max_ell must be >= 0")
-        if self.max_ell + self.max_k < 2:
-            raise ValueError("need max_ell + max_k >= 2; nothing to check")
+        # the largest ℓ and k the window admits: a pair needs ℓ + k >= 2
+        sites = hi - lo + 1
+        if min(self.max_ell, sites) + min(self.max_k, sites) < 2:
+            raise ValueError(
+                f"the domain holds no (x, y) pair (max_ell {self.max_ell}, "
+                f"max_k {self.max_k}, window [{lo}, {hi}]); nothing to check"
+            )
         if not self.params_list:
             raise ValueError("at least one Params required")
         if not self.t_range or any(type(t) is not int or t < 0 for t in self.t_range):
             raise ValueError("t_range must be nonempty ints, all t >= 0")
+        if not self.kinds:
+            raise ValueError("kinds must be nonempty; nothing to check")
         for kind in self.kinds:
             if kind not in KINDS:
                 raise ValueError(f"unknown kind {kind!r}")

@@ -11,7 +11,9 @@ The one exception is :func:`oracle_t_step_law` (and the expectation
 :func:`oracle_t_step_expectation` built on it), which reuses the package's
 one-step laws (checked against the closed forms above) and composes them
 state by state in plain ``Fraction`` arithmetic: it is the reference for
-the engine's whole-law scan, its scaled integers and its contraction.
+the engine's whole-law scan, its scaled integers and its contraction.  It
+reads the functionals with :func:`oracle_functional` and settles empty
+sides by their own cases, so it shares no reader with the package.
 
 :func:`oracle_sample_step` is the sampler that compares every draw with a
 ``Fraction``: the reference for the package's float-threshold sampler,
@@ -24,7 +26,6 @@ import math
 import random
 from fractions import Fraction
 
-from sixv.duality import _functional_at_points
 from sixv.dynamics import (
     Mutation,
     forward_step_distribution,
@@ -309,9 +310,9 @@ def oracle_t_step_expectation(
     total = Fraction(0)
     for positions, prob in oracle_t_step_law(kept, params, boundary, t, step, mutation).items():
         if side == "forward":
-            total += prob * _functional_at_points(kind, positions, y, q)
+            total += prob * oracle_functional(kind, positions, y, q)
         elif not (len(positions) < len(start) and kind == "H"):  # lumped dual points have g = 0
-            total += prob * _functional_at_points(kind, x, positions, q)
+            total += prob * oracle_functional(kind, x, positions, q)
     return total
 
 

@@ -272,8 +272,8 @@ def test_criterion_09_site_dependent_parameters_reported_with_witness():
         f"site-dependent sweep ran ({summary['failed']}/{summary['total']} "
         f"failures) and surfaced the minimal counterexample x={witness.x} "
         f"y={witness.y}: {format_rational(witness.lhs)} != "
-        f"{format_rational(witness.rhs)} — the mirror reversal is not dual "
-        f"once b2 varies by site (see the one-step column sums)",
+        f"{format_rational(witness.rhs)} — H is not dual once b2 varies by "
+        f"site (see the one-step column sums), while D stays dual",
     )
 
 

@@ -367,6 +367,8 @@ def _spec_without(field: str) -> str:
          "unknown field 'b2_site'"),
         (_spec_text(params=[{"q": "1/2", "b2": "1/2", "b2_default": "1/4",
                              "b2_sites": {"0": "1/3"}}]), "unknown field 'b2'"),
+        (_spec_text(kinds=[]), "kinds must be nonempty"),
+        (_spec_text(max_ell=0, max_k=2, window=[0, 0]), "no (x, y) pair"),
     ],
     ids=[
         "not-json", "json-list", "string-window", "float-window", "string-kinds",
@@ -374,6 +376,7 @@ def _spec_without(field: str) -> str:
         "missing-b2", "missing-q", "sites-without-default",
         "missing-max-ell", "missing-max-k", "missing-window", "missing-params",
         "misspelled-t-range", "misspelled-kinds", "misspelled-b2-sites", "b2-beside-b2-sites",
+        "no-kinds", "no-pair",
     ],
 )
 def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text, message):
@@ -383,6 +386,14 @@ def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text, message):
     assert code == 2
     assert "spec" in err
     assert message in err
+
+
+def test_sweep_rejects_a_domain_with_no_pair_by_flags(capsys):
+    # one site holds no two distinct dual points, and ℓ = 0 needs k >= 2
+    code, out, err = run_cli(capsys, "sweep", "--max-ell", "0", "--max-k", "2", "--window", "0:0")
+    assert code == 2
+    assert out == ""
+    assert "no (x, y) pair" in err
 
 
 # --- simulate --------------------------------------------------------------------

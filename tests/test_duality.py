@@ -16,6 +16,7 @@ from sixv.dynamics import (
     reversed_step_distribution,
 )
 from sixv.duality import (
+    KINDS,
     ExpectationResult,
     _evolve,
     eval_functional,
@@ -24,6 +25,7 @@ from sixv.duality import (
     expect_forward,
     expect_one_step_held,
     expect_reversed,
+    expectation_table,
     mc_expectation,
 )
 from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
@@ -344,16 +346,26 @@ def test_negative_horizons_are_rejected():
         expect_reversed((0,), (2,), "H", -1, P_HALF_QUARTER)
 
 
-def test_empty_configuration_conventions():
-    # no dual points: empty product
-    assert expect_forward((0, 1), (), "G", 1, P_HALF_QUARTER) == Fraction(1)
-    assert expect_reversed((0, 1), (), "G", 1, P_HALF_QUARTER) == Fraction(1)
-    # no particles: occupied-site product dies, height factors are all 1
-    assert expect_reversed((), (2, 0), "H", 1, P_HALF_QUARTER) == Fraction(0)
-    assert expect_reversed((), (2, 0), "G", 1, P_HALF_QUARTER) == Fraction(1)
-    assert expect_reversed((), (2, 0), "D", 1, P_HALF_QUARTER) == Fraction(1)
-    assert expect_forward((), (1,), "H", 1, P_HALF_QUARTER) == Fraction(0)
-    assert expect_forward((), (1,), "G", 1, P_HALF_QUARTER) == Fraction(1)
+# no dual points, no particles, or neither, on either side
+EMPTY_PAIRS = [((0, 1), ()), ((-1, 2, 4), ()), ((), (1,)), ((), (2, 0)), ((), ())]
+
+
+@pytest.mark.parametrize("mutation", [None, *Mutation])
+@pytest.mark.parametrize("side", ["forward", "reversed"])
+@pytest.mark.parametrize("params", [P_HALF_QUARTER, cycled_inhom_params(0, 6)])
+def test_empty_configuration_conventions(side, mutation, params):
+    # without dual points every kind is the empty product 1; without
+    # particles H's occupied-site product dies and every height weight is
+    # q^0 = 1, whatever moves, for how long and under which defect
+    engine = expect_forward if side == "forward" else expect_reversed
+    horizons = (0, 1, 3)
+    table = expectation_table(side, EMPTY_PAIRS, horizons, params, mutation)
+    for t in horizons:
+        for (x, y), values in zip(EMPTY_PAIRS, table[t]):
+            empty_products = (1, 1, 1) if not y else (0, 1, 1)
+            for kind, value, expected in zip(KINDS, values, empty_products):
+                reference = oracle.oracle_t_step_expectation(side, x, y, kind, t, params, mutation)
+                assert value == engine(x, y, kind, t, params, mutation) == reference == expected
 
 
 def test_public_wrappers_require_dual_particles():

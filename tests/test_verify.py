@@ -1,7 +1,9 @@
 """Tests for the identity checkers and the exhaustive duality sweep."""
 
 import json
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -443,6 +445,20 @@ def test_sweep_spec_validation():
             max_ell=2, max_k=1, window=(0, 3), params_list=(P_HALF_QUARTER,),
             kinds=("Z",),
         )
+    with pytest.raises(ValueError, match="kinds must be nonempty"):
+        SweepSpec(max_ell=2, max_k=1, window=(0, 3), params_list=(P_HALF_QUARTER,), kinds=())
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3])
+def test_sweep_spec_rejects_exactly_the_domains_without_a_pair(sites):
+    for max_ell in range(0, 4):
+        for max_k in range(1, 4):
+            domain = SimpleNamespace(max_ell=max_ell, max_k=max_k, window=(2, 1 + sites))
+            if any(iter_config_pairs(domain)):
+                SweepSpec(max_ell, max_k, domain.window, params_list=(P_HALF_QUARTER,))
+            else:
+                with pytest.raises(ValueError, match="no \\(x, y\\) pair"):
+                    SweepSpec(max_ell, max_k, domain.window, params_list=(P_HALF_QUARTER,))
 
 
 def test_sweep_spec_json_round_trip():
@@ -610,6 +626,27 @@ def test_d_stays_dual_under_site_dependent_b2_and_each_defect_breaks_it():
     assert clean["D"] == 0
     for mutation in Mutation:
         assert failed(mutation)["D"] > 0, mutation
+
+    # the one-step closed forms at ℓ = k = 1 that prove it there (README,
+    # "Site-dependent weights"): with Π the product of b2 strictly between x
+    # and y, D's value at x < y is symmetric in b2(x) and b2(y), and H's two
+    # sides differ by a multiple of b2(y) - b2(x)
+    (params,) = spec.params_list
+    q = params.q
+    for x in range(0, 7):
+        for y in range(0, 7):
+            bx, by = params.b2_at(x), params.b2_at(y)
+            if x < y:
+                gap = math.prod((params.b2_at(s) for s in range(x + 1, y)), start=Fraction(1))
+                d = 1 / q - gap * (1 / q - bx - by + q * bx * by)
+                h_excess = gap * (q - 1) * (by - bx) / q
+            else:
+                d = 1 - q * bx if x == y else Fraction(1)
+                h_excess = 0
+            for engine in (exact_expectation_forward, exact_expectation_reversed):
+                assert engine((x,), (y,), "D", 1, params) == d, (engine, x, y)
+            h_forward = exact_expectation_forward((x,), (y,), "H", 1, params)
+            assert h_forward - exact_expectation_reversed((x,), (y,), "H", 1, params) == h_excess
 
 
 # --- input validation at the public entry points -------------------------------------
