@@ -91,7 +91,11 @@ def _output(out: str | None) -> Iterator[TextIO]:
     if out is None:
         yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write --out file: {exc}")
+        with handle:
             yield handle
 
 

@@ -37,16 +37,22 @@ A t-step law is t row scans of the whole law in a loop
 (:func:`~sixv.dynamics._scan`), each with integer multiplies and adds,
 reduced by its gcd and checked after every step.  Contraction uses that
 at each outcome every functional is 0 or q^(-m) with one integer m for all
-three: one pass over a law weighs each numerator by its power of q = a/b
-over one denominator and gives H, G and D at once, one Fraction each
-(:func:`_contract`).  A single expectation picks its kind from that pass.
+three (:func:`_reading`, which the tables share): one pass over a law
+weighs each numerator by its power of q = a/b over one denominator and
+gives H, G and D at once, one Fraction each (:func:`_contract`).  A single expectation picks its kind from that pass.
 
-The sweep reads its answers from tables (:func:`expectation_table`): the
-pairs whose moving configuration folds to the same start share one law,
-advanced through the distinct horizons in increasing order, one scan per
-step, and contracted once per horizon and distinct fixed configuration.
-The lru-cached :func:`_evolve` stays the t-step entry point of single
-expectations and the identity checkers.
+The sweep reads its answers from tables (:func:`expectation_table`) by the
+backward equation: the values from every start at once are one column of
+P^t F, so V_t = P V_{t-1} from V_0 = F.  The pairs of one lump boundary
+share a chain, whose states are the folded starts and every state they
+reach, each state's row scanned once, over one denominator D, and whose
+columns are the distinct (fixed configuration, k).  All columns of a state
+advance together, packed into one int of slots wide enough that no sum
+carries: a slot is at most D^t max(a, b)^top, since a row sums to at most
+D (:func:`_chain_table`).  At each horizon each distinct numerator becomes
+one Fraction.  Slots widen linearly in t, so the tables suit a sweep's
+short horizons; the lru-cached :func:`_evolve` stays the t-step entry
+point of single expectations and the identity checkers.
 
 Configurations are validated once, by the public entry points (here
 ``exact_expectation_*``, ``mc_expectation`` and ``eval_functional``; the
@@ -57,6 +63,7 @@ and ``expect_one_step_held`` take tuples that are already checked.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -84,6 +91,8 @@ from sixv.model import (
 KINDS = ("H", "G", "D")
 # One expectation of every kind, in the order of KINDS.
 Values = tuple[Fraction, Fraction, Fraction]
+# A table column: the fixed configuration and the number of dual points k.
+Column = tuple[tuple[int, ...], int]
 
 
 def _require_kind(kind: str) -> None:
@@ -161,23 +170,41 @@ def eval_functional(
     return _functional_at_points(kind, validate_location(x), validate_reversed(y), q)
 
 
+def _reading(
+    positions: State, fixed: tuple[int, ...], forward: bool
+) -> tuple[int, int]:
+    """(m, hits) at one outcome of the moving configuration against ``fixed``.
+
+    m is the sum of the heights at the dual points and hits how many of
+    them sit on a particle.  Every functional there is 0 or q^(-m): G
+    always, H when all k dual points are hits, D when none is.  Forward
+    the outcome is the particles, reversed the dual points.
+    """
+    particles, points = (positions, fixed) if forward else (fixed, positions)
+    m = hits = 0
+    for site in points:
+        n = bisect_right(particles, site)
+        m += n
+        if n and particles[n - 1] == site:
+            hits += 1
+    return m, hits
+
+
 def _contract(
     law: ScaledLaw, fixed: tuple[int, ...], k: int, step: int, q: Fraction
 ) -> Values:
     """(H, G, D) of the law of the moving configuration against ``fixed``, in one pass.
 
-    ``k`` is the number of dual points, resolved or not.  At an outcome all
-    three functionals are 0 or q^(-m) with the same m, the sum of the
-    heights at the dual points: G always, H when every one of the k dual
-    points sits on a particle, D when none does.  Forward, particles lumped
-    beyond R sit right of every dual point: a factor 1 in all kinds.
-    Reversed, a lumped dual point (an outcome with fewer than k positions)
-    sits left of every particle: g = 0 there, which kills H, and height 0,
-    a factor 1 for G and D.  So the all-lumped law of an empty fixed side
-    gives the empty products: (1, 1, 1) without dual points, (0, 1, 1)
-    without particles.  Each m is at most k times the particle count, top;
-    with q = a/b, q^(-m) = b^m a^(top-m) / a^top, so the three sums are
-    integer numerators over the one denominator a^top * den.
+    ``k`` is the number of dual points, resolved or not; each outcome is
+    read by :func:`_reading`.  Forward, particles lumped beyond R sit right
+    of every dual point: a factor 1 in all kinds.  Reversed, a lumped dual
+    point (an outcome with fewer than k positions) sits left of every
+    particle: g = 0 there, which kills H, and height 0, a factor 1 for G
+    and D.  So the all-lumped law of an empty fixed side gives the empty
+    products: (1, 1, 1) without dual points, (0, 1, 1) without particles.
+    Each m is at most k times the particle count, top; with q = a/b,
+    q^(-m) = b^m a^(top-m) / a^top, so the three sums are integer
+    numerators over the one denominator a^top * den.
     """
     forward = step > 0
     top = k * (max((len(p) for p, _ in law.entries), default=0) if forward else len(fixed))
@@ -185,13 +212,7 @@ def _contract(
     weight = [b**m * a ** (top - m) for m in range(top + 1)]
     h = g = d = 0
     for positions, num in law.entries:
-        particles, points = (positions, fixed) if forward else (fixed, positions)
-        m = hits = 0
-        for site in points:
-            n = bisect_right(particles, site)
-            m += n
-            if n and particles[n - 1] == site:
-                hits += 1
+        m, hits = _reading(positions, fixed, forward)
         num *= weight[m]
         g += num
         if hits == k:
@@ -297,40 +318,124 @@ def expectation_table(
     Maps each horizon t >= 0 to the (H, G, D) values of the pairs, in pair
     order; each value is what :func:`expect_forward` (or
     :func:`expect_reversed`) gives for that pair, kind and t.  The pairs
-    must be validated already.  Pairs whose moving configuration folds to
-    the same start share one law, keyed by :func:`_fold`'s (start, lump
-    boundary); every pair with nothing fixed shares the empty start.  Each
-    law is advanced through the horizons in increasing order, one scan per
-    step, so the law at t continues from the one at the horizon before, and
-    it is contracted once per distinct (fixed configuration, k) for all
-    three kinds.  k is part of the key because reversed H drops lumped
-    outcomes: two y of different length can fold to the same law.
+    must be validated already.  Each pair folds by :func:`_fold` to a start
+    and a lump boundary, and the pairs of one boundary share one chain
+    (:func:`_chain_table`), whose columns are the distinct (fixed
+    configuration, k).  k is part of the key because reversed H drops
+    lumped outcomes: two y of different length can fold to the same state.
     """
     step = _step_of(side)
     mutation, q = _law_mutation_and_q(params, mutation)
     horizons = sorted(set(horizons))
     if horizons and horizons[0] < 0:
         raise ValueError("t must be >= 0")
-    # each pair's key into ``values``: (law, fixed, k)
-    slots: list[tuple] = []
-    contractions: dict[tuple[State, int | None], dict[tuple, None]] = {}
+    # per lump boundary, its starts and its columns, each kept once in order
+    chains: dict[int | None, tuple[dict[State, None], dict[Column, None]]] = {}
+    slots: list[tuple[State, Column]] = []  # each pair's key into ``values``
     for x, y in pairs:
         moving, fixed = _oriented(step, x, y)
-        law_key = _fold(moving, fixed, step)
-        key = (law_key, fixed, len(y))
-        contractions.setdefault(law_key, {})[key] = None
-        slots.append(key)
-    values: dict[tuple, list[Values]] = {}
-    for (state, boundary), keys in contractions.items():
-        law, done = ScaledLaw(1, ((state, 1),)), 0
-        for t in horizons:
-            for _ in range(t - done):
-                law = _scan(law, params, boundary, step, mutation)
-            done = t
-            for key in keys:
-                _, fixed, k = key
-                values.setdefault(key, []).append(_contract(law, fixed, k, step, q))
+        state, boundary = _fold(moving, fixed, step)
+        column = (fixed, len(y))
+        starts, columns = chains.setdefault(boundary, ({}, {}))
+        starts[state] = columns[column] = None
+        slots.append((state, column))
+    values: dict[tuple[State, Column], list[Values]] = {}
+    for boundary, (starts, columns) in chains.items():
+        values.update(
+            _chain_table(list(starts), list(columns), boundary, horizons, params, q, step, mutation)
+        )
     return {t: [values[key][i] for key in slots] for i, t in enumerate(horizons)}
+
+
+def _chain_table(
+    starts: list[State],
+    columns: list[Column],
+    boundary: int | None,
+    horizons: list[int],
+    params: Params,
+    q: Fraction,
+    step: int,
+    mutation: Mutation | None,
+) -> dict[tuple[State, Column], list[Values]]:
+    """(H, G, D) per (start, column) at each horizon, by the backward equation.
+
+    The chain's states are the starts and every state they reach; moves go
+    one way and stop at ``boundary``, so there are finitely many.  Each
+    state's row is the :func:`~sixv.dynamics._scan` of its one-entry law,
+    checked like every law, and the rows are brought to one denominator D,
+    their lcm.  With F read at each state (:func:`_reading`) as numerators
+    over a^top (q = a/b), V_0 = F and V_t = P V_{t-1} are numerators over
+    D^t a^top, and V_t at a start is E_start[F(t)], for every column.
+
+    All columns of a state advance together, packed into one int of W-bit
+    slots, three per column (H, G, D), so a step is one multiply-add per
+    nonzero row entry.  No slot overflows into the next: every V_0 slot is
+    at most max(a, b)^top, and a row's numerators sum to at most D (to
+    exactly D but for the landing-factor mutation's deficit), so every V_t
+    slot is at most D^t max(a, b)^top < 2^W with
+    W = bit_length(D^T max(a, b)^top) + 1, T the largest horizon, rounded
+    up to whole bytes.  At each horizon the starts' slots are unpacked and
+    each distinct numerator becomes one Fraction.
+    """
+    forward = step > 0
+    index = {state: i for i, state in enumerate(starts)}
+    states = list(starts)
+    laws = []
+    for state in states:  # the list grows as the rows reach new states
+        law = _scan(ScaledLaw(1, ((state, 1),)), params, boundary, step, mutation)
+        for outcome, _ in law.entries:
+            if outcome not in index:
+                index[outcome] = len(states)
+                states.append(outcome)
+        laws.append(law)
+    den = math.lcm(*(law.den for law in laws))
+    rows = [
+        ([index[o] for o, _ in law.entries], [num * (den // law.den) for _, num in law.entries])
+        for law in laws
+    ]
+
+    longest = max(map(len, starts))
+    top = max(k * (longest if forward else len(fixed)) for fixed, k in columns)
+    a, b = q.numerator, q.denominator
+    weight = [b**m * a ** (top - m) for m in range(top + 1)]
+    bound = den ** max(horizons, default=0) * max(a, b) ** top
+    size = -(-(bound.bit_length() + 1) // 8)  # W in whole bytes
+    width = 8 * size
+    packed = []
+    for state in states:
+        v = 0
+        for fixed, k in reversed(columns):
+            m, hits = _reading(state, fixed, forward)
+            w = weight[m]
+            for slot in (0 if hits else w, w, w if hits == k else 0):  # D, G, H: H lowest
+                v = v << width | slot
+        packed.append(v)
+
+    length = 3 * len(columns) * size  # bytes per state
+    values: dict[tuple[State, Column], list[Values]] = {
+        (start, column): [] for start in starts for column in columns
+    }
+    done = 0
+    for t in horizons:
+        for _ in range(t - done):
+            packed = [
+                sum(map(operator.mul, nums, map(packed.__getitem__, targets)))
+                for targets, nums in rows
+            ]
+        done = t
+        numerators = []
+        for v in packed[: len(starts)]:
+            raw = v.to_bytes(length, "little")
+            numerators.append(
+                [int.from_bytes(raw[i : i + size], "little") for i in range(0, length, size)]
+            )
+        scale = den**t * a**top
+        fraction = {num: Fraction(num, scale) for num in set().union(*numerators)}
+        for start, nums in zip(starts, numerators):
+            read = map(fraction.__getitem__, nums)
+            for column, kinds in zip(columns, zip(read, read, read)):
+                values[start, column].append(kinds)
+    return values
 
 
 def expect_forward(

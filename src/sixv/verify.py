@@ -13,11 +13,13 @@ tolerance.  The checkers mirror how the duality identity decomposes:
   dual point y_k sits relative to x_1 and x_2.
 * ``iter_sweep``: exhaustive duality checks over a finite enumeration
   domain, yielded as they are made; ``run_sweep`` collects them.  It reads
-  every answer from expectation tables: per parameter set and side, one law
-  per folded start, advanced through the sweep's horizons in increasing
-  order and contracted once per fixed configuration for H, G and D at once
-  (:func:`~sixv.duality.expectation_table`).  Its reports are exactly those
-  :func:`check_duality` gives, in the canonical order.
+  every answer from expectation tables: per parameter set and side, one
+  chain per lump boundary, its rows scanned once per state, and the
+  backward equation V_t = P V_{t-1} advancing H, G and D for every fixed
+  configuration at once, packed into one integer per state, with one
+  Fraction per distinct value (:func:`~sixv.duality.expectation_table`).
+  Its reports are exactly those :func:`check_duality` gives, in the
+  canonical order.
 
 Case labels over ℓ ≥ 2 (mutually exclusive and total):
 
@@ -464,10 +466,14 @@ def iter_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> Iterator[Ch
     (:func:`iter_config_pairs`), so the report order is fixed by the spec.
     The answers come from tables: per parameter set, one
     :func:`~sixv.duality.expectation_table` per side holds every kind at
-    every distinct t, and each report is exactly what :func:`check_duality`
-    gives for its instance.  Reports are yielded as they are made: a
-    parameter set's tables are built only when its first report is asked
-    for.  ``mutation`` is the negative-control hook: it injects a deliberate
+    every distinct t.  It groups the pairs by lump boundary into chains,
+    scans each chain state's row once, and runs the backward equation with
+    every fixed configuration's H, G and D packed into one integer per
+    state, in slots wide enough that no sum carries over, building one
+    Fraction per distinct value.  Each report is exactly what
+    :func:`check_duality` gives for its instance.  Reports are yielded as
+    they are made: a parameter set's tables are built only when its first
+    report is asked for.  ``mutation`` is the negative-control hook: it injects a deliberate
     defect so the sweep can demonstrate it would catch a wrong
     implementation.
     """

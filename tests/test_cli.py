@@ -504,3 +504,21 @@ def test_simulate_requires_a_seed(capsys):
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--x", "0", "--y", "1"],
+        ["sweep", "--max-ell", "1", "--max-k", "1", "--window", "0:1"],
+        ["simulate", "--x", "0", "--seed", "1"],
+    ],
+    ids=["check", "sweep", "simulate"],
+)
+def test_an_unwritable_out_file_is_an_input_error(capsys, tmp_path, argv):
+    # 1 would say a check failed; a path that cannot be opened is bad input
+    out = tmp_path / "missing" / "r.jsonl"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "cannot write --out file" in err
+    assert not out.parent.exists()

@@ -368,6 +368,30 @@ def test_empty_configuration_conventions(side, mutation, params):
                 assert value == engine(x, y, kind, t, params, mutation) == reference == expected
 
 
+# starts whose chains reach states no start holds, with nothing fixed on
+# one side or the other, at unsorted, repeated horizons with t = 0
+UNCOVERED_PAIRS = [((0, 1, 2, 3), (12, 8, 5)), ((1, 4), (6, 2)), ((), (3, 1)), ((2,), ())]
+
+
+@pytest.mark.parametrize("mutation", [None, *Mutation])
+@pytest.mark.parametrize("side", ["forward", "reversed"])
+@pytest.mark.parametrize(
+    "params",
+    [P_HALF_QUARTER, STANDARD_PARAMS[1], cycled_inhom_params(0, 12)],
+    ids=["q=2", "q=1/2", "palette"],
+)
+def test_a_table_reads_every_state_its_starts_reach(side, mutation, params):
+    # each chain holds every state its starts reach, not only those within
+    # some horizon's depth, so every value is the single expectation's
+    engine = expect_forward if side == "forward" else expect_reversed
+    horizons = (3, 0, 1, 3)
+    table = expectation_table(side, UNCOVERED_PAIRS, horizons, params, mutation)
+    assert sorted(table) == [0, 1, 3]
+    for t in horizons:
+        for (x, y), values in zip(UNCOVERED_PAIRS, table[t]):
+            assert values == tuple(engine(x, y, kind, t, params, mutation) for kind in KINDS)
+
+
 def test_public_wrappers_require_dual_particles():
     assert exact_expectation_forward((0,), (1,), "H", 1, P_HALF_QUARTER) == Fraction(3, 16)
     assert exact_expectation_reversed((0,), (1,), "H", 1, P_HALF_QUARTER) == Fraction(3, 16)

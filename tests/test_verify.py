@@ -559,8 +559,8 @@ def test_sweep_yields_reports_before_the_next_parameter_set_is_built(monkeypatch
 
 
 def test_a_sweep_scans_each_step_of_a_law_once(monkeypatch):
-    # the law at t = 2 continues from the one at t = 1: adding t = 1 to a
-    # t = 2 sweep costs contractions, not scans
+    # adding t = 1 to a t = 2 sweep costs no scans, and neither does a
+    # longer horizon: each chain state's row is scanned once
     scans = []
     original = duality._scan
 
@@ -582,6 +582,7 @@ def test_a_sweep_scans_each_step_of_a_law_once(monkeypatch):
 
     both, last = scans_of((1, 2)), scans_of((2,))
     assert 0 < both <= last
+    assert scans_of((1, 2, 6)) == scans_of((1,))
 
 
 @pytest.mark.parametrize("mutation", list(Mutation))
