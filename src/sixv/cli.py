@@ -159,6 +159,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             raise CliError(f"--window must look like LO:HI, got {ns.window!r}")
         try:
             t_range = tuple(int(t) for t in ns.t_list.split(","))
+        except ValueError:
+            raise CliError(f"--t-list must be comma-separated ints, got {ns.t_list!r}")
+        try:
             kinds = tuple(k.strip() for k in ns.kinds.split(","))
             spec = SweepSpec(
                 max_ell=ns.max_ell,

@@ -49,10 +49,12 @@ reach, each state's row scanned once, over one denominator D, and whose
 columns are the distinct (fixed configuration, k).  All columns of a state
 advance together, packed into one int of slots wide enough that no sum
 carries: a slot is at most D^t max(a, b)^top, since a row sums to at most
-D (:func:`_chain_table`).  At each horizon each distinct numerator becomes
-one Fraction.  Slots widen linearly in t, so the tables suit a sweep's
-short horizons; the lru-cached :func:`_evolve` stays the t-step entry
-point of single expectations and the identity checkers.
+D (:func:`_chain_table`).  One call builds both sides' tables, and each
+distinct reduced value becomes one Fraction that both sides share, so a
+value that is dual to its mirror is the same object on both sides.  Slots
+widen linearly in t, so the tables suit a sweep's short horizons; the
+lru-cached :func:`_evolve` stays the t-step entry point of single
+expectations and the identity checkers.
 
 Configurations are validated once, by the public entry points (here
 ``exact_expectation_*``, ``mc_expectation`` and ``eval_functional``; the
@@ -307,44 +309,52 @@ def _expect(
 
 
 def expectation_table(
-    side: str,
     pairs: Sequence[tuple[LocationConfig, ReversedConfig]],
     horizons: Iterable[int],
     params: Params,
     mutation: Mutation | None = None,
-) -> dict[int, list[Values]]:
-    """The ``side`` expectations of every kind, for every pair at every horizon.
+) -> tuple[dict[int, list[Values]], dict[int, list[Values]]]:
+    """Both sides' expectations of every kind, for every pair at every horizon.
 
-    Maps each horizon t >= 0 to the (H, G, D) values of the pairs, in pair
-    order; each value is what :func:`expect_forward` (or
-    :func:`expect_reversed`) gives for that pair, kind and t.  The pairs
-    must be validated already.  Each pair folds by :func:`_fold` to a start
-    and a lump boundary, and the pairs of one boundary share one chain
+    Returns the forward table and the reversed table.  Each maps each
+    horizon t >= 0 to the (H, G, D) values of the pairs, in pair order;
+    each value is what :func:`expect_forward` (or :func:`expect_reversed`)
+    gives for that pair, kind and t.  The pairs must be validated already.
+    On each side, each pair folds by :func:`_fold` to a start and a lump
+    boundary, and the pairs of one boundary share one chain
     (:func:`_chain_table`), whose columns are the distinct (fixed
     configuration, k).  k is part of the key because reversed H drops
     lumped outcomes: two y of different length can fold to the same state.
+
+    Both sides read their values from one memo of Fractions keyed by the
+    reduced denominator, then numerator, so equal values are one Fraction
+    object and a forward value that equals its reversed one is that very
+    object.
     """
-    step = _step_of(side)
     mutation, q = _law_mutation_and_q(params, mutation)
     horizons = sorted(set(horizons))
     if horizons and horizons[0] < 0:
         raise ValueError("t must be >= 0")
-    # per lump boundary, its starts and its columns, each kept once in order
-    chains: dict[int | None, tuple[dict[State, None], dict[Column, None]]] = {}
-    slots: list[tuple[State, Column]] = []  # each pair's key into ``values``
-    for x, y in pairs:
-        moving, fixed = _oriented(step, x, y)
-        state, boundary = _fold(moving, fixed, step)
-        column = (fixed, len(y))
-        starts, columns = chains.setdefault(boundary, ({}, {}))
-        starts[state] = columns[column] = None
-        slots.append((state, column))
-    values: dict[tuple[State, Column], list[Values]] = {}
-    for boundary, (starts, columns) in chains.items():
-        values.update(
-            _chain_table(list(starts), list(columns), boundary, horizons, params, q, step, mutation)
-        )
-    return {t: [values[key][i] for key in slots] for i, t in enumerate(horizons)}
+    memo: dict[int, dict[int, Fraction]] = {}
+    tables = []
+    for step in (+1, -1):
+        # per lump boundary, its starts and its columns, each kept once in order
+        chains: dict[int | None, tuple[dict[State, None], dict[Column, None]]] = {}
+        slots: list[tuple[State, Column]] = []  # each pair's key into ``values``
+        for x, y in pairs:
+            moving, fixed = _oriented(step, x, y)
+            state, boundary = _fold(moving, fixed, step)
+            column = (fixed, len(y))
+            starts, columns = chains.setdefault(boundary, ({}, {}))
+            starts[state] = columns[column] = None
+            slots.append((state, column))
+        values: dict[tuple[State, Column], list[Values]] = {}
+        for boundary, (starts, columns) in chains.items():
+            values.update(_chain_table(
+                list(starts), list(columns), boundary, horizons, params, q, step, mutation, memo
+            ))
+        tables.append({t: [values[key][i] for key in slots] for i, t in enumerate(horizons)})
+    return tables[0], tables[1]
 
 
 def _chain_table(
@@ -356,6 +366,7 @@ def _chain_table(
     q: Fraction,
     step: int,
     mutation: Mutation | None,
+    memo: dict[int, dict[int, Fraction]],
 ) -> dict[tuple[State, Column], list[Values]]:
     """(H, G, D) per (start, column) at each horizon, by the backward equation.
 
@@ -375,7 +386,9 @@ def _chain_table(
     slot is at most D^t max(a, b)^top < 2^W with
     W = bit_length(D^T max(a, b)^top) + 1, T the largest horizon, rounded
     up to whole bytes.  At each horizon the starts' slots are unpacked and
-    each distinct numerator becomes one Fraction.
+    each distinct numerator, reduced, is looked up in ``memo``, which holds
+    one Fraction per reduced value, keyed by denominator, then numerator;
+    the inner keys are the Fractions' own ints, so the memo stores no copy.
     """
     forward = step > 0
     index = {state: i for i, state in enumerate(starts)}
@@ -430,7 +443,18 @@ def _chain_table(
                 [int.from_bytes(raw[i : i + size], "little") for i in range(0, length, size)]
             )
         scale = den**t * a**top
-        fraction = {num: Fraction(num, scale) for num in set().union(*numerators)}
+        fraction = {}
+        for num in set().union(*numerators):
+            g = math.gcd(num, scale)
+            n, d = num // g, scale // g
+            shared = memo.get(d)
+            if shared is None:
+                shared = memo[d] = {}
+            value = shared.get(n)
+            if value is None:
+                value = Fraction(n, d)
+                shared[value.numerator] = value
+            fraction[num] = value
         for start, nums in zip(starts, numerators):
             read = map(fraction.__getitem__, nums)
             for column, kinds in zip(columns, zip(read, read, read)):

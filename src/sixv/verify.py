@@ -13,13 +13,18 @@ tolerance.  The checkers mirror how the duality identity decomposes:
   dual point y_k sits relative to x_1 and x_2.
 * ``iter_sweep``: exhaustive duality checks over a finite enumeration
   domain, yielded as they are made; ``run_sweep`` collects them.  It reads
-  every answer from expectation tables: per parameter set and side, one
-  chain per lump boundary, its rows scanned once per state, and the
-  backward equation V_t = P V_{t-1} advancing H, G and D for every fixed
-  configuration at once, packed into one integer per state, with one
-  Fraction per distinct value (:func:`~sixv.duality.expectation_table`).
-  Its reports are exactly those :func:`check_duality` gives, in the
-  canonical order.
+  every answer from expectation tables: per parameter set, both sides'
+  tables in one call, per side one chain per lump boundary, its rows
+  scanned once per state, and the backward equation V_t = P V_{t-1}
+  advancing H, G and D for every fixed configuration at once, packed into
+  one integer per state, with one Fraction per distinct reduced value
+  shared by both sides (:func:`~sixv.duality.expectation_table`).  Its
+  reports are exactly those :func:`check_duality` gives, in the canonical
+  order; a pass is decided by identity, since equal sides are one object.
+
+Every checker returns :class:`CheckReport` records, immutable tuples whose
+verdict is derived from their values, and :meth:`CheckReport.to_json_line`
+is the one encoder of a report line.
 
 Case labels over ℓ ≥ 2 (mutually exclusive and total):
 
@@ -36,9 +41,10 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Sequence
@@ -69,60 +75,118 @@ CASE_LABELS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CheckReport:
+class CheckReport(
+    namedtuple("_ReportFields", "identity x y params t kind lhs rhs verdict case detail")
+):
     """Outcome of one identity check; verdict is exact-equality, never fuzzy.
 
-    The verdict is not an argument; it is worked out from the values, with
-    one comparison: "skip" exactly when lhs and rhs are both None, else
-    "pass" exactly when lhs = rhs and "fail" otherwise.  A report with only
-    one side None is an error.
+    An immutable record, equal by value, that costs about what a tuple of
+    its fields costs to build.  The verdict is not an argument; it is
+    worked out from the values when the report is made: "skip" exactly
+    when lhs and rhs are both None, else "pass" exactly when lhs = rhs and
+    "fail" otherwise.  A report with only one side None is an error.  The
+    sweep's tables share one Fraction per value between both sides, so a
+    passing sweep report's sides are one object: identity is tried first,
+    as a shortcut to equality, and only sides that are two objects are
+    compared as rationals.
+
+    Every way to make a report goes through that rule: ``_make`` rejects
+    fields whose verdict disagrees with their values, and ``_replace`` (and
+    ``copy.replace``) takes no verdict and works it out again.
     """
 
-    identity: str
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    params: Params
-    t: int
-    kind: str | None
-    lhs: Fraction | None
-    rhs: Fraction | None
-    verdict: str = field(init=False)  # "pass" | "fail" | "skip"
-    case: str | None = None
-    detail: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lhs is None and self.rhs is None:
-            verdict = "skip"
-        elif self.lhs is None or self.rhs is None:
+    def __new__(
+        cls,
+        identity: str,
+        x: tuple[int, ...],
+        y: tuple[int, ...],
+        params: Params,
+        t: int,
+        kind: str | None,
+        lhs: Fraction | None,
+        rhs: Fraction | None,
+        case: str | None = None,
+        detail: str = "",
+    ) -> CheckReport:
+        if lhs is rhs:
+            verdict = "skip" if lhs is None else "pass"
+        elif lhs is None or rhs is None:
             raise ValueError("a report needs both sides or neither")
         else:
-            verdict = "pass" if self.lhs == self.rhs else "fail"
-        object.__setattr__(self, "verdict", verdict)
+            verdict = "pass" if lhs == rhs else "fail"
+        return tuple.__new__(
+            cls, (identity, x, y, params, t, kind, lhs, rhs, verdict, case, detail)
+        )
+
+    def __getnewargs__(self) -> tuple:
+        """The constructor's arguments, every field but the verdict (for copy and pickle)."""
+        return self[:8] + self[9:]
+
+    @classmethod
+    def _make(cls, iterable) -> CheckReport:
+        """A report from all its fields in order, the derived verdict among them."""
+        fields = tuple(iterable)
+        report = cls(*fields[:8], *fields[9:])
+        if report != fields:
+            raise ValueError(
+                f"{fields!r} are not a report's fields; its verdict is {report.verdict!r}"
+            )
+        return report
+
+    def _replace(self, /, **changes) -> CheckReport:
+        """A copy with some fields changed, but never the verdict, which is worked out again."""
+        arguments = self._asdict()
+        del arguments["verdict"]
+        arguments.update(changes)
+        return CheckReport(**arguments)
+
+    __replace__ = _replace
 
     def to_json_line(self) -> str:
         """The report as one JSON object, exactly as ``json.dumps`` prints :meth:`to_json_obj`.
 
         It is assembled from pieces, with no ``json.dumps`` per line: the
-        parameters' text is formatted once per :class:`Params`, strings are
-        escaped as ``json.dumps`` escapes them, and a passing report formats
-        its value once for both sides.
+        parameters' text is formatted once per :class:`Params`, each
+        position tuple's text once (:func:`_json_positions`), kinds, case
+        labels and verdicts are literals, other strings are escaped as
+        ``json.dumps`` escapes them, and a passing report formats its value
+        once for both sides.
         """
-        lhs = _json_rational(self.lhs)
-        rhs = lhs if self.verdict == "pass" else _json_rational(self.rhs)
-        kind = "null" if self.kind is None else encode_basestring_ascii(self.kind)
-        case = "null" if self.case is None else encode_basestring_ascii(self.case)
+        identity, x, y, params, t, kind, lhs, rhs, verdict, case, detail = self
+        literal = _LITERALS.get  # every literal is nonempty text, so ``or`` falls back on a miss
+        lhs_text = _json_rational(lhs)
+        rhs_text = lhs_text if verdict == "pass" else _json_rational(rhs)
         return (
-            f'{{"identity": {encode_basestring_ascii(self.identity)}, "x": {list(self.x)}, '
-            f'"y": {list(self.y)}, "params": {self.params.json_text}, "t": {self.t}, '
-            f'"kind": {kind}, "lhs": {lhs}, "rhs": {rhs}, '
-            f'"verdict": {encode_basestring_ascii(self.verdict)}, "case": {case}, '
-            f'"detail": {encode_basestring_ascii(self.detail)}}}'
+            f'{{"identity": {literal(identity) or encode_basestring_ascii(identity)}, '
+            f'"x": {_json_positions(x)}, "y": {_json_positions(y)}, '
+            f'"params": {params.json_text}, "t": {t}, '
+            f'"kind": {literal(kind) or encode_basestring_ascii(kind)}, '
+            f'"lhs": {lhs_text}, "rhs": {rhs_text}, "verdict": {_LITERALS[verdict]}, '
+            f'"case": {literal(case) or encode_basestring_ascii(case)}, '
+            f'"detail": {literal(detail) or encode_basestring_ascii(detail)}}}'
         )
 
     def to_json_obj(self) -> dict:
         """:meth:`to_json_line`, parsed: one encoder serves both forms."""
         return json.loads(self.to_json_line())
+
+
+# JSON text of the strings most reports carry, and of None
+_LITERALS = {
+    None: "null",
+    **{
+        text: encode_basestring_ascii(text)
+        for text in ("duality", "", "pass", "fail", "skip", *KINDS, *CASE_LABELS)
+    },
+}
+
+
+@lru_cache(maxsize=4096)
+def _json_positions(positions: tuple[int, ...]) -> str:
+    """``json.dumps`` of a position tuple, which prints it as a list."""
+    return str(list(positions))
 
 
 def _json_rational(value: Fraction | None) -> str:
@@ -465,12 +529,14 @@ def iter_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> Iterator[Ch
     Instances are enumerated params-major, then kind, t, and configuration
     (:func:`iter_config_pairs`), so the report order is fixed by the spec.
     The answers come from tables: per parameter set, one
-    :func:`~sixv.duality.expectation_table` per side holds every kind at
-    every distinct t.  It groups the pairs by lump boundary into chains,
-    scans each chain state's row once, and runs the backward equation with
-    every fixed configuration's H, G and D packed into one integer per
-    state, in slots wide enough that no sum carries over, building one
-    Fraction per distinct value.  Each report is exactly what
+    :func:`~sixv.duality.expectation_table` call holds both sides, every
+    kind at every distinct t.  On each side it groups the pairs by lump
+    boundary into chains, scans each chain state's row once, and runs the
+    backward equation with every fixed configuration's H, G and D packed
+    into one integer per state, in slots wide enough that no sum carries
+    over, building one Fraction per distinct reduced value for both sides
+    together, so a report whose sides are equal holds one object twice
+    and passes without a comparison.  Each report is exactly what
     :func:`check_duality` gives for its instance.  Reports are yielded as
     they are made: a parameter set's tables are built only when its first
     report is asked for.  ``mutation`` is the negative-control hook: it injects a deliberate
@@ -480,8 +546,7 @@ def iter_sweep(spec: SweepSpec, mutation: Mutation | None = None) -> Iterator[Ch
     pairs = list(iter_config_pairs(spec))
     cases = [_case_label(x, y) for x, y in pairs]
     for params in spec.params_list:
-        lhs_table = expectation_table("forward", pairs, spec.t_range, params, mutation)
-        rhs_table = expectation_table("reversed", pairs, spec.t_range, params, mutation)
+        lhs_table, rhs_table = expectation_table(pairs, spec.t_range, params, mutation)
         for kind in spec.kinds:
             i = KINDS.index(kind)
             for t in spec.t_range:

@@ -18,6 +18,9 @@ sides by their own cases, so it shares no reader with the package.
 :func:`oracle_sample_step` is the sampler that compares every draw with a
 ``Fraction``: the reference for the package's float-threshold sampler,
 which must draw the same outcomes from the same stream.
+
+:func:`vertex_law` starts from the model's definition instead: the vertex
+weights of one row, with no particle rules at all.
 """
 
 from __future__ import annotations
@@ -25,13 +28,60 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from sixv.dynamics import (
     Mutation,
     forward_step_distribution,
     reversed_step_distribution,
 )
-from sixv.model import Params
+from sixv.model import Params, VertexType, vertex_weight
+
+# (below, left, up, right) arrows of a vertex -> its type; the other ten
+# ways to set four arrows break conservation (below + left = up + right)
+VERTEX_TYPES = {
+    (0, 0, 0, 0): VertexType.I,
+    (1, 1, 1, 1): VertexType.II,
+    (0, 1, 0, 1): VertexType.III,
+    (0, 1, 1, 0): VertexType.IV,
+    (1, 0, 1, 0): VertexType.V,
+    (1, 0, 0, 1): VertexType.VI,
+}
+
+
+def vertex_law(
+    start: tuple[int, ...], params: Params, boundary: int, step: int
+) -> dict[tuple[int, ...], Fraction]:
+    """One-step law from the vertex weights of one row alone, lumped past ``boundary``.
+
+    P(start -> outcome) is the product of :func:`~sixv.model.vertex_weight`
+    over the sites from the first particle to update up to the boundary:
+    at each site the arrows below (start) and above (outcome) are given,
+    the horizontal arrow entering from the previous site is forced by
+    conservation, and an arrow count outside {0, 1} makes the outcome
+    impossible.  ``step`` +1 reads the row left to right (forward), -1
+    right to left (reversed).  The arrow leaving the boundary site is the
+    particle lumped past it.  Returns {resolved positions: probability};
+    ``start`` lies inside the boundary, or wholly past it (then one lump).
+    """
+    if not start or (start[0] - boundary) * step > 0:
+        return {(): Fraction(1)}
+    sites = range(start[0], boundary + step, step)
+    law = {}
+    for size in (len(start), len(start) - 1):
+        for outcome in combinations(sites, size):
+            prob, carry = Fraction(1), 0
+            for site in sites:
+                below, up = int(site in start), int(site in outcome)
+                out = below + carry - up
+                if out not in (0, 1):
+                    break
+                prob *= vertex_weight(VERTEX_TYPES[below, carry, up, out], params, site)
+                carry = out
+            else:
+                if carry == len(start) - size:
+                    law[outcome] = prob
+    return law
 
 
 def pass_product(params: Params, lo: int, hi: int) -> Fraction:

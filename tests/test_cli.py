@@ -388,12 +388,23 @@ def test_sweep_rejects_a_broken_spec_file(capsys, tmp_path, text, message):
     assert message in err
 
 
-def test_sweep_rejects_a_domain_with_no_pair_by_flags(capsys):
-    # one site holds no two distinct dual points, and ℓ = 0 needs k >= 2
-    code, out, err = run_cli(capsys, "sweep", "--max-ell", "0", "--max-k", "2", "--window", "0:0")
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        # one site holds no two distinct dual points, and ℓ = 0 needs k >= 2
+        (("--max-ell", "0", "--max-k", "2", "--window", "0:0"), "no (x, y) pair"),
+        (("--max-ell", "1", "--max-k", "1", "--window", "0:2", "--t-list", "1,x"),
+         "error: --t-list must be comma-separated ints, got '1,x'"),
+        (("--max-ell", "1", "--max-k", "1", "--window", "0:2", "--t-list", ""),
+         "error: --t-list must be comma-separated ints, got ''"),
+    ],
+    ids=["no-pair", "t-list-not-int", "t-list-empty"],
+)
+def test_sweep_rejects_bad_domain_flags(capsys, flags, message):
+    code, out, err = run_cli(capsys, "sweep", *flags)
     assert code == 2
     assert out == ""
-    assert "no (x, y) pair" in err
+    assert message in err
 
 
 # --- simulate --------------------------------------------------------------------

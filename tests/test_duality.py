@@ -346,6 +346,12 @@ def test_negative_horizons_are_rejected():
         expect_reversed((0,), (2,), "H", -1, P_HALF_QUARTER)
 
 
+def _table(side, pairs, horizons, params, mutation):
+    """One side's table from :func:`expectation_table`, which builds both."""
+    forward, reversed_ = expectation_table(pairs, horizons, params, mutation)
+    return forward if side == "forward" else reversed_
+
+
 # no dual points, no particles, or neither, on either side
 EMPTY_PAIRS = [((0, 1), ()), ((-1, 2, 4), ()), ((), (1,)), ((), (2, 0)), ((), ())]
 
@@ -359,7 +365,7 @@ def test_empty_configuration_conventions(side, mutation, params):
     # q^0 = 1, whatever moves, for how long and under which defect
     engine = expect_forward if side == "forward" else expect_reversed
     horizons = (0, 1, 3)
-    table = expectation_table(side, EMPTY_PAIRS, horizons, params, mutation)
+    table = _table(side, EMPTY_PAIRS, horizons, params, mutation)
     for t in horizons:
         for (x, y), values in zip(EMPTY_PAIRS, table[t]):
             empty_products = (1, 1, 1) if not y else (0, 1, 1)
@@ -385,11 +391,29 @@ def test_a_table_reads_every_state_its_starts_reach(side, mutation, params):
     # some horizon's depth, so every value is the single expectation's
     engine = expect_forward if side == "forward" else expect_reversed
     horizons = (3, 0, 1, 3)
-    table = expectation_table(side, UNCOVERED_PAIRS, horizons, params, mutation)
+    table = _table(side, UNCOVERED_PAIRS, horizons, params, mutation)
     assert sorted(table) == [0, 1, 3]
     for t in horizons:
         for (x, y), values in zip(UNCOVERED_PAIRS, table[t]):
             assert values == tuple(engine(x, y, kind, t, params, mutation) for kind in KINDS)
+
+
+@pytest.mark.parametrize(
+    "params", [P_HALF_QUARTER, cycled_inhom_params(0, 12)], ids=["q=2", "palette"]
+)
+def test_both_tables_hold_one_fraction_per_value(params):
+    # one memo serves both sides at every horizon: equal values are one
+    # object, so a forward value equal to its reversed one is that object
+    forward, reversed_ = expectation_table(UNCOVERED_PAIRS, (0, 1, 2), params)
+    first_seen = {}
+    for table in (forward, reversed_):
+        for rows in table.values():
+            for values in rows:
+                for value in values:
+                    assert first_seen.setdefault(value, value) is value
+    for t, rows in forward.items():
+        for lhs, rhs in zip(rows, reversed_[t]):
+            assert [a is b for a, b in zip(lhs, rhs)] == [a == b for a, b in zip(lhs, rhs)]
 
 
 def test_public_wrappers_require_dual_particles():

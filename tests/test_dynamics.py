@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from sixv.dynamics import (
     ScaledLaw,
     _check_moves,
     _sample_step,
+    _step_distribution,
     forward_step_distribution,
     one_particle_kernel,
     reversed_step_distribution,
@@ -291,6 +293,36 @@ def test_mutated_laws_match_the_mutated_oracle(sites, params, slack, mutation):
 
 
 # --- the integer law check -----------------------------------------------------
+
+
+# every state of the window 0:6, forward with ℓ <= 4 and reversed with k <= 3,
+# lumped at the window's far edge
+WINDOW_STATES = {
+    +1: [s for ell in range(5) for s in combinations(range(0, 7), ell)],
+    -1: [s[::-1] for k in range(4) for s in combinations(range(0, 7), k)],
+}
+EDGE = {+1: 6, -1: 0}
+
+
+@pytest.mark.parametrize("step", [+1, -1], ids=["forward", "reversed"])
+@pytest.mark.parametrize(
+    "params", STANDARD_PARAMS + (cycled_inhom_params(0, 6),),
+    ids=["std0", "std1", "std2", "palette"],
+)
+def test_step_laws_are_products_of_vertex_weights(params, step):
+    for start in WINDOW_STATES[step]:
+        law = _step_distribution(start, params, EDGE[step], step, None)
+        assert entries_dict(law) == oracle.vertex_law(start, params, EDGE[step], step), start
+
+
+@pytest.mark.parametrize("mutation", [Mutation.LANDING_FACTOR, Mutation.PUSH_TRIGGER])
+@pytest.mark.parametrize("step", [+1, -1], ids=["forward", "reversed"])
+def test_each_dynamics_defect_changes_some_vertex_law(step, mutation):
+    assert any(
+        entries_dict(_step_distribution(start, P_HALF_QUARTER, EDGE[step], step, mutation))
+        != oracle.vertex_law(start, P_HALF_QUARTER, EDGE[step], step)
+        for start in WINDOW_STATES[step]
+    )
 
 
 def test_step_distribution_rejects_bad_totals_and_duplicates():

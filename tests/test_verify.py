@@ -1,7 +1,9 @@
 """Tests for the identity checkers and the exhaustive duality sweep."""
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,7 +26,7 @@ from sixv.dynamics import (
     forward_step_distribution,
     reversed_step_distribution,
 )
-from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params
+from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params, vertex_weight
 from sixv.verify import (
     CheckReport,
     SweepSpec,
@@ -81,6 +83,53 @@ def test_a_skip_report_holds_no_values():
 def test_a_report_with_one_side_none_is_rejected(lhs, rhs):
     with pytest.raises(ValueError, match="both sides or neither"):
         _report(lhs, rhs)
+
+
+def test_a_report_cannot_be_changed():
+    report = _report(Fraction(1), Fraction(1))
+    for name, value in (("lhs", Fraction(2)), ("verdict", "fail"), ("note", "")):
+        with pytest.raises(AttributeError):
+            setattr(report, name, value)
+    assert report == _report(Fraction(1), Fraction(1))
+    assert report.verdict == "pass"
+
+
+def test_reports_are_equal_by_value_whether_or_not_their_sides_are_one_object():
+    shared = Fraction(3, 16)
+    one = _report(shared, shared)
+    two = _report(Fraction(3, 16), Fraction(6, 32))
+    assert one.lhs is one.rhs and two.lhs is not two.rhs
+    assert one == two and hash(one) == hash(two)
+    assert one.verdict == two.verdict == "pass"
+
+
+def test_every_way_to_make_a_report_works_out_its_verdict():
+    passed = _report(Fraction(1), Fraction(1))
+    assert passed._replace(rhs=Fraction(2)).verdict == "fail"
+    assert passed._replace(lhs=None, rhs=None).verdict == "skip"
+    assert passed._replace(case="at_first")[8:10] == ("pass", "at_first")
+    with pytest.raises(TypeError, match="verdict"):
+        passed._replace(verdict="fail")
+    with pytest.raises(ValueError, match="both sides or neither"):
+        passed._replace(lhs=None)
+    # _make takes every field in order; its verdict must be the derived one
+    fields = list(passed)
+    assert CheckReport._make(fields) == passed
+    fields[passed._fields.index("verdict")] = "fail"
+    with pytest.raises(ValueError, match="verdict is 'pass'"):
+        CheckReport._make(fields)
+    # a missing field is not filled in with its default
+    with pytest.raises(ValueError, match="not a report's fields"):
+        CheckReport._make(list(passed)[:-1])
+    with pytest.raises(TypeError):
+        CheckReport._make([*passed, ""])
+    failed = _report(Fraction(1), Fraction(2))
+    copies = [copy.copy(failed), copy.deepcopy(failed), pickle.loads(pickle.dumps(failed))]
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        copies.append(copy.replace(passed, rhs=Fraction(2)))
+    for made in copies:
+        assert type(made) is CheckReport
+        assert made == failed and made.verdict == "fail"
 
 
 def test_report_json_shape():
@@ -542,9 +591,9 @@ def test_sweep_yields_reports_before_the_next_parameter_set_is_built(monkeypatch
     calls = []
     original = verify.expectation_table
 
-    def counting_table(side, *args):
-        calls.append(side)
-        return original(side, *args)
+    def counting_table(pairs, horizons, params, *args):
+        calls.append(params)
+        return original(pairs, horizons, params, *args)
 
     monkeypatch.setattr(verify, "expectation_table", counting_table)
     spec = SweepSpec(
@@ -552,10 +601,43 @@ def test_sweep_yields_reports_before_the_next_parameter_set_is_built(monkeypatch
     )
     reports = iter_sweep(spec)
     first = next(reports)
-    assert (first.params, calls) == (P_HALF_QUARTER, ["forward", "reversed"])
+    assert (first.params, calls) == (P_HALF_QUARTER, [P_HALF_QUARTER])
     rest = list(reports)
-    assert len(calls) == 4
+    assert calls == [P_HALF_QUARTER, INHOM]
     assert [first, *rest] == run_sweep(spec).reports
+
+
+@pytest.mark.parametrize(
+    "params,kinds",
+    [(P_HALF_QUARTER, ("H", "G", "D")), (cycled_inhom_params(0, 4), ("D",))],
+    ids=["homogeneous", "palette"],
+)
+def test_a_clean_sweep_decides_every_pass_by_identity(monkeypatch, params, kinds):
+    # both sides' tables share one Fraction per value, so a passing report's
+    # sides are one object and no rationals are compared; a defect makes
+    # sides that are two objects, and those are compared and fail
+    comparisons = []
+    original = Fraction.__eq__
+
+    def counting_eq(a, b):
+        comparisons.append((a, b))
+        return original(a, b)
+
+    # an equal Params from an earlier test, held as a cache key, would be
+    # compared field by field on every lookup: start the caches empty
+    for cache in (_evolve, _forward_entries, _particle_moves, vertex_weight):
+        cache.cache_clear()
+    monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+    spec = SweepSpec(
+        max_ell=3, max_k=2, window=(0, 4), t_range=(1, 2),
+        params_list=(params,), kinds=kinds,
+    )
+    clean = run_sweep(spec)
+    assert (clean.summary()["failed"], len(comparisons)) == (0, 0)
+    assert all(r.lhs is r.rhs for r in clean.reports)
+    broken = run_sweep(spec, Mutation.LANDING_FACTOR)
+    assert broken.summary()["failed"] > 0
+    assert len(comparisons) >= broken.summary()["failed"]
 
 
 def test_a_sweep_scans_each_step_of_a_law_once(monkeypatch):
