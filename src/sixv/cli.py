@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from typing import Iterator, Sequence, TextIO
 
-from sixv.dynamics import Mutation, _sample_step, trajectory_rng
+from sixv.dynamics import Mutation, _sampler, trajectory_rng
 from sixv.duality import mc_expectation
 from sixv.model import Params, validate_location, validate_reversed
 from sixv.verify import (
@@ -120,6 +120,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
             raise CliError("--n-samples needs --seed")
         if ns.n_samples < 1:
             raise CliError("--n-samples must be >= 1")
+    elif ns.seed is not None:
+        raise CliError("--seed needs --n-samples")
     reports = [check_duality(x, y, ns.kind, ns.t, params)]
     if ns.identities == "all":
         # the decomposition identities are one-step statements; they run at
@@ -197,11 +199,10 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     else:
         side, step = "reversed", -1
         current = _parse_positions(ns.y, descending=True, flag="--y")
-    rng = trajectory_rng(ns.seed)
+    sample = _sampler(params, step, trajectory_rng(ns.seed))
     rows = [current]
     for _ in range(ns.t):
-        current = _sample_step(current, params, step, rng)
-        rows.append(current)
+        rows.append(sample(rows[-1]))
     if ns.format == "json":
         payload = {"side": side, "seed": ns.seed, "steps": [list(r) for r in rows]}
         _emit(json.dumps(payload, indent=2) + "\n", ns.out)
@@ -288,10 +289,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return ns.func(ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,27 +31,20 @@ the empty products.  So every pair takes the same path, orient, fold
 (:func:`_fold`, the one place that picks the boundary), advance and
 contract, whatever is empty.
 
-The engine works in scaled integers.  Every law is a
-:class:`~sixv.dynamics.ScaledLaw`, one denominator over integer numerators.
-A t-step law is t row scans of the whole law in a loop
-(:func:`~sixv.dynamics._scan`), each with integer multiplies and adds,
-reduced by its gcd and checked after every step.  Contraction uses that
-at each outcome every functional is 0 or q^(-m) with one integer m for all
-three (:func:`_reading`, which the tables share): one pass over a law
-weighs each numerator by its power of q = a/b over one denominator and
-gives H, G and D at once, one Fraction each (:func:`_contract`).  A single expectation picks its kind from that pass.
+The engine works in scaled integers: every law is a
+:class:`~sixv.dynamics.ScaledLaw`, and a t-step law is t row scans of the
+whole law in a loop (:func:`~sixv.dynamics._scan`), each reduced by its
+gcd and checked.  At each outcome every functional is 0 or q^(-m) with one
+integer m for all three (:func:`_reading`, which the tables share), so one
+pass over a law weighs each numerator by its power of q = a/b over one
+denominator and gives H, G and D at once (:func:`_contract`).
 
 The sweep reads its answers from tables (:func:`expectation_table`) by the
-backward equation: the values from every start at once are one column of
-P^t F, so V_t = P V_{t-1} from V_0 = F.  The pairs of one lump boundary
-share a chain, whose states are the folded starts and every state they
-reach, each state's row scanned once, over one denominator D, and whose
-columns are the distinct (fixed configuration, k).  All columns of a state
-advance together, packed into one int of slots wide enough that no sum
-carries: a slot is at most D^t max(a, b)^top, since a row sums to at most
-D (:func:`_chain_table`).  One call builds both sides' tables, and each
-distinct reduced value becomes one Fraction that both sides share, so a
-value that is dual to its mirror is the same object on both sides.  Slots
+backward equation, V_t = P V_{t-1} from V_0 = F: the pairs of one lump
+boundary share a chain, each state's row scanned once, and all columns of
+a state advance together, packed into one int (:func:`_chain_table`).  One
+call builds both sides' tables and shares one Fraction per reduced value,
+so a value dual to its mirror is the same object on both sides.  Slots
 widen linearly in t, so the tables suit a sweep's short horizons; the
 lru-cached :func:`_evolve` stays the t-step entry point of single
 expectations and the identity checkers.
@@ -76,7 +69,7 @@ from sixv.dynamics import (
     Mutation,
     ScaledLaw,
     State,
-    _sample_step,
+    _sampler,
     _scan,
     _step_distribution,
     trajectory_rng,
@@ -91,6 +84,8 @@ from sixv.model import (
 )
 
 KINDS = ("H", "G", "D")
+# Most particle updates of one Monte Carlo run: 10-25 s at 2-5 M updates/s.
+MC_UPDATE_BUDGET = 50_000_000
 # One expectation of every kind, in the order of KINDS.
 Values = tuple[Fraction, Fraction, Fraction]
 # A table column: the fixed configuration and the number of dual points k.
@@ -546,9 +541,11 @@ def mc_expectation(
 ) -> ExpectationResult:
     """Monte Carlo estimate of the same expectations, with standard error.
 
-    Every trajectory draws in turn from the one generator that ``seed``
-    fixes (:func:`~sixv.dynamics.trajectory_rng`), so a seed reproduces
-    the estimate.  t = 0 short-circuits to the exact value.
+    One sampler draws every trajectory in turn from the one generator that
+    ``seed`` fixes (:func:`~sixv.dynamics.trajectory_rng`), so a seed
+    reproduces the estimate, and the functional is read once per distinct
+    final configuration.  t = 0 short-circuits to the exact value.  A run
+    of more than :data:`MC_UPDATE_BUDGET` particle updates is refused.
     """
     _require_kind(kind)
     step = _step_of(side)
@@ -558,31 +555,30 @@ def mc_expectation(
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
-        exact = _functional_at_points(kind, x, y, params.q)
-        return ExpectationResult(
-            mean=float(exact), stderr=0.0, n=n_samples, seed=seed
-        )
+        exact = float(_functional_at_points(kind, x, y, params.q))
+        return ExpectationResult(mean=exact, stderr=0.0, n=n_samples, seed=seed)
     moving, fixed = _oriented(step, x, y)
-    # the functional's float value per exponent m met (None: it vanishes);
-    # float(Fraction) rounds correctly
-    power: dict[int | None, float] = {None: 0.0}
-    total = 0.0
-    total_sq = 0.0
-    rng = trajectory_rng(seed)
+    updates = n_samples * t * max(len(moving), 1)  # a step of nothing still costs
+    if updates > MC_UPDATE_BUDGET:
+        raise ValueError(f"{updates:,} particle updates (n_samples * t * moving) "
+                         f"exceed MC_UPDATE_BUDGET = {MC_UPDATE_BUDGET:,}")
+    sample = _sampler(params, step, trajectory_rng(seed))
+    # the float value per final configuration met; float(Fraction) rounds correctly
+    value: dict[State, float] = {}
+    total = total_sq = 0.0
     for _ in range(n_samples):
         current = moving
         for _ in range(t):
-            current = _sample_step(current, params, step, rng)
-        m = _exponent_at_points(kind, *_oriented(step, current, fixed))
-        v = power.get(m)
+            current = sample(current)
+        v = value.get(current)
         if v is None:
-            v = power[m] = float(params.q ** -m)
+            m = _exponent_at_points(kind, *_oriented(step, current, fixed))
+            v = value[current] = 0.0 if m is None else float(params.q ** -m)
         total += v
         total_sq += v * v
     mean = total / n_samples
+    stderr = 0.0
     if n_samples > 1:
         var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
         stderr = math.sqrt(var / n_samples)
-    else:
-        stderr = 0.0
     return ExpectationResult(mean=mean, stderr=stderr, n=n_samples, seed=seed)

@@ -22,28 +22,22 @@ The dynamics conserve particles, so an outcome is its resolved positions
 alone: from ℓ particles, ℓ − len(positions) are lumped.
 
 Every law is advanced the way the row update is taken: one scan over the
-particles in update order, one particle at a time, applied to the whole law
-at once (:func:`_scan`).  A partial state is the new positions of the
-particles already updated, the old positions of the rest and whether the
-next particle is pushed; partial states that agree on all three are merged,
-so a step of a t-step law costs one pass per particle over the merged
-states, not one enumeration per outcome.  The moves of a particle at a
-given (position, cap) are two integer lists over one denominator, free
-(hold with b1, then each landing) and pushed (landings only), with every
-factor read from :func:`~sixv.model.vertex_weight` (hold V, depart VI,
-pass III, land IV); each pair is built and checked once and cached, and a
-pass brings the pairs it uses to the lcm of their denominators.  A one-step
-law is the scan of a one-entry law.
+particles in update order, applied to the whole law at once, merging the
+partial states that agree (:func:`_scan`), so a step of a t-step law costs
+one pass per particle over the merged states, not one enumeration per
+outcome.  A particle's moves at a given (position, cap) are two integer
+lists over one denominator, free (hold with b1, then each landing) and
+pushed (landings only), every factor read from
+:func:`~sixv.model.vertex_weight` (hold V, depart VI, pass III, land IV),
+built and checked once (:func:`_particle_moves`).  A one-step law is the
+scan of a one-entry law.  Every law is a :class:`ScaledLaw`, checked after
+every scan; the t-step engine in :mod:`sixv.duality` scans its law t times.
+The public ``*_step_distribution`` functions validate their input, so the
+scan trusts its own.
 
-Every law is a :class:`ScaledLaw`: one denominator over integer numerators
-in lowest terms, keyed by resolved positions, checked after every scan;
-the t-step engine in :mod:`sixv.duality` scans its law t times.  The public
-``*_step_distribution`` functions validate their input; the scan takes
-configurations that are already checked.
-
-The sampler draws the row update itself.  It compares each ``random()``
-draw with an exact float threshold rather than with a Fraction, and the
-two tests agree on every draw (:func:`_sample_step`).
+The sampler (:func:`_sampler`) draws the row update against exact float
+thresholds; a Monte Carlo run builds one and reads the functional once per
+distinct final configuration.
 """
 
 from __future__ import annotations
@@ -336,34 +330,40 @@ def trajectory_rng(seed: int) -> random.Random:
     return random.Random(str(seed))
 
 
-def _sample_step(
-    start: tuple[int, ...], params: Params, step: int, rng: random.Random
-) -> tuple[int, ...]:
-    """One unlumped draw of the ``step`` law from a start ordered along ``step``.
+def _sampler(params: Params, step: int, rng: random.Random):
+    """``sample(start)``: one unlumped draw of the ``step`` law from a start along ``step``.
 
-    Particles go in update order.  One that was not pushed holds when a
-    draw falls below b1 at its site; otherwise it walks the geometric
-    passage site by site, stopping where a draw falls below 1 - b2, or
-    without a draw on its cap.  Each draw is compared with the exact float
-    threshold of :attr:`Params.hold_thresholds` or
-    :attr:`Params.stop_thresholds`: ``random()`` returns k/2^53, so
-    ``r < p`` and ``r < ceil(p·2^53)/2^53`` are the same test, and the
-    stream and every outcome are those of a comparison with the Fraction.
+    Binds ``rng.random`` and the threshold lookups once per run.  Particles
+    go in update order.  One not pushed holds when a draw falls below b1 at
+    its site; otherwise it walks site by site, stopping where a draw falls
+    below 1 - b2, or without a draw on its cap.  Draws are compared with
+    :attr:`Params.hold_thresholds` and :attr:`Params.stop_thresholds`,
+    which agree with a test against the Fraction on every draw
+    (:func:`~sixv.model.float_threshold`), so every outcome is that test's.
     """
     draw = rng.random
-    hold_at, hold = params.hold_thresholds
-    stop_at, stop = params.stop_thresholds
-    out: list[int] = []
-    prev: int | None = None
-    last = len(start) - 1
-    for i, u in enumerate(start):
-        if prev != u and draw() < hold_at.get(u, hold):
-            prev = u
-        else:
-            cap = start[i + 1] if i < last else None
-            z = u + step
-            while z != cap and draw() >= stop_at.get(z, stop):
-                z += step
-            prev = z
-        out.append(prev)
-    return tuple(out)
+    (hold_at, hold), (stop_at, stop) = params.hold_thresholds, params.stop_thresholds
+    hold_at, stop_at = hold_at.get, stop_at.get
+
+    def sample(start):
+        out: list[int] = []
+        prev: int | None = None
+        last = len(start) - 1
+        for i, u in enumerate(start):
+            if prev != u and draw() < hold_at(u, hold):
+                prev = u
+            else:
+                cap = start[i + 1] if i < last else None
+                z = u + step
+                while z != cap and draw() >= stop_at(z, stop):
+                    z += step
+                prev = z
+            out.append(prev)
+        return tuple(out)
+
+    return sample
+
+
+def _sample_step(start: State, params: Params, step: int, rng: random.Random) -> State:
+    """One draw of a fresh :func:`_sampler`."""
+    return _sampler(params, step, rng)(start)

@@ -147,7 +147,8 @@ def test_check_rejects_malformed_input(capsys, argv):
 @pytest.mark.parametrize(
     "flags,message",
     [(("--n-samples", "10"), "--n-samples needs --seed"),
-     (("--n-samples", "0", "--seed", "1"), "--n-samples must be >= 1")],
+     (("--n-samples", "0", "--seed", "1"), "--n-samples must be >= 1"),
+     (("--seed", "5"), "--seed needs --n-samples")],
 )
 def test_check_rejects_monte_carlo_flags_before_the_exact_check(
     capsys, monkeypatch, flags, message
@@ -161,6 +162,19 @@ def test_check_rejects_monte_carlo_flags_before_the_exact_check(
     )
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def test_check_refuses_a_monte_carlo_run_over_the_budget(capsys, monkeypatch):
+    def sampler(*args):
+        raise AssertionError("a sampler was built")
+
+    monkeypatch.setattr(sixv.duality, "_sampler", sampler)
+    code, out, err = run_cli(
+        capsys, "check", "--x", "0", "--y", "1", "--n-samples", "1000000000", "--seed", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "MC_UPDATE_BUDGET" in err
 
 
 # --- --b2-sites ------------------------------------------------------------------

@@ -521,6 +521,89 @@ def test_mc_seeds_one_generator_per_call(monkeypatch):
     assert calls == [(9,)]
 
 
+def _oracle_mc(side, x, y, kind, t, params, n, seed):
+    """The estimate drawn with the Fraction-comparing oracle sampler.
+
+    Returns (mean, stderr, the distinct final configurations, whether a
+    particle landed on its cap, whether a final configuration crossed the
+    exact engine's lump boundary).
+    """
+    forward = side == "forward"
+    step, moving = (+1, x) if forward else (-1, y)
+    boundary = y[0] if forward else x[0]
+    rng = sixv.duality.trajectory_rng(seed)
+    total = total_sq = 0.0
+    finals, capped, lumped = set(), False, False
+    for _ in range(n):
+        current = moving
+        for _ in range(t):
+            new = oracle.oracle_sample_step(current, params, step, rng)
+            capped |= any(a == b for a, b in zip(new, current[1:]))
+            current = new
+        lumped |= any((p - boundary) * step > 0 for p in current)
+        finals.add(current)
+        v = float(eval_functional(kind, *((current, y) if forward else (x, current)), params.q))
+        total += v
+        total_sq += v * v
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n), finals, capped, lumped
+
+
+MC_STREAM_CASES = [
+    ("forward", (0, 1, 2), (3, 1), "H", 2, STANDARD_PARAMS[0], 41),
+    ("forward", (0, 1, 3), (4, 2), "G", 3, STANDARD_PARAMS[1], 42),
+    ("forward", (0, 2, 3), (4, 1), "D", 3, cycled_inhom_params(0, 6), 43),
+    ("reversed", (1, 3), (4, 3, 2), "G", 3, STANDARD_PARAMS[2], 44),
+    ("reversed", (2, 4), (5, 4, 2), "H", 2, STANDARD_PARAMS[0], 45),
+    ("reversed", (1, 3), (5, 3, 2), "D", 3, cycled_inhom_params(0, 6), 46),
+]
+
+
+@pytest.mark.parametrize("side,x,y,kind,t,params,seed", MC_STREAM_CASES)
+def test_mc_is_the_oracle_run_bit_for_bit(side, x, y, kind, t, params, seed):
+    mean, stderr, _, capped, lumped = _oracle_mc(side, x, y, kind, t, params, 400, seed)
+    # the walks land on caps and cross the lump boundary of the exact engine
+    assert capped and lumped
+    res = mc_expectation(side, x, y, kind, t, params, 400, seed)
+    assert (repr(res.mean), repr(res.stderr)) == (repr(mean), repr(stderr))
+
+
+@pytest.mark.parametrize("case", [MC_STREAM_CASES[0], MC_STREAM_CASES[5]], ids=["forward", "reversed"])
+def test_mc_reads_each_final_configuration_once(monkeypatch, case):
+    side, x, y, kind, t, params, seed = case
+    finals = _oracle_mc(side, x, y, kind, t, params, 400, seed)[2]
+    calls = []
+    real = sixv.duality._exponent_at_points
+
+    def counted(kind, particles, points):
+        calls.append(particles if side == "forward" else points)
+        return real(kind, particles, points)
+
+    monkeypatch.setattr(sixv.duality, "_exponent_at_points", counted)
+    mc_expectation(side, x, y, kind, t, params, 400, seed)
+    assert sorted(calls) == sorted(finals)
+
+
+def test_mc_refuses_a_run_over_the_update_budget(monkeypatch):
+    def sampler(*args):
+        raise AssertionError("a sampler was built")
+
+    monkeypatch.setattr(sixv.duality, "_sampler", sampler)
+    with pytest.raises(ValueError, match="MC_UPDATE_BUDGET"):
+        mc_expectation("forward", (0,), (1,), "H", 1, P_HALF_QUARTER, 10**9, seed=1)
+    # n * t * moving particles: 3 particles at t = 2 make 6 updates a trajectory
+    n = sixv.duality.MC_UPDATE_BUDGET // 6
+    with pytest.raises(ValueError, match="MC_UPDATE_BUDGET"):
+        mc_expectation("reversed", (4,), (2, 1, 0), "G", 2, P_HALF_QUARTER, n + 1, seed=1)
+    with pytest.raises(AssertionError, match="a sampler was built"):
+        mc_expectation("reversed", (4,), (2, 1, 0), "G", 2, P_HALF_QUARTER, n, seed=1)
+    # a step that moves nothing still counts as one update
+    n = sixv.duality.MC_UPDATE_BUDGET + 1
+    with pytest.raises(ValueError, match="MC_UPDATE_BUDGET"):
+        mc_expectation("forward", (), (1,), "G", 1, P_HALF_QUARTER, n, seed=1)
+
+
 def test_mc_time_zero_is_exact():
     res = mc_expectation("forward", (0, 2), (2, 0), "H", 0, P_HALF_QUARTER, 50, seed=3)
     assert res.mean == 0.125
