@@ -35,9 +35,9 @@ The engine works in scaled integers: every law is a
 :class:`~sixv.dynamics.ScaledLaw`, and a t-step law is t row scans of the
 whole law in a loop (:func:`~sixv.dynamics._scan`), each reduced by its
 gcd and checked.  At each outcome every functional is 0 or q^(-m) with one
-integer m for all three (:func:`_reading`, which the tables share), so one
-pass over a law weighs each numerator by its power of q = a/b over one
-denominator and gives H, G and D at once (:func:`_contract`).
+integer m for all three (:func:`_reading`, the one reader of a functional),
+so one pass over a law weighs each numerator by its power of q = a/b over
+one denominator and gives H, G and D at once (:func:`_contract`).
 
 The sweep reads its answers from tables (:func:`expectation_table`) by the
 backward equation, V_t = P V_{t-1} from V_0 = F: the pairs of one lump
@@ -133,30 +133,18 @@ class ExpectationResult:
 # --- functionals ---------------------------------------------------------------
 
 
-def _exponent_at_points(
-    kind: str, particles: tuple[int, ...], points: tuple[int, ...]
-) -> int | None:
-    """m with H/G/D = q^(-m) at sorted ``particles``, or None where it is 0.
-
-    Every functional is a product of indicators and height weights, so its
-    value is either 0 or q^(-m), m the sum of the heights at the points.
-    """
-    m = 0
-    for site in points:
-        n = bisect_right(particles, site)
-        occupied = n > 0 and particles[n - 1] == site
-        if (kind == "H" and not occupied) or (kind == "D" and occupied):
-            return None
-        m += n
-    return m
-
-
 def _functional_at_points(
     kind: str, particles: tuple[int, ...], points: tuple[int, ...], q: Fraction
 ) -> Fraction:
-    """Evaluate H/G/D with g the indicator of sorted particle positions."""
-    m = _exponent_at_points(kind, particles, points)
-    return Fraction(0) if m is None else q ** (-m)
+    """Evaluate H/G/D with g the indicator of sorted particle positions.
+
+    Read through :func:`_reading`, with :func:`_contract`'s rule: H needs
+    a particle at every dual point, D at none, and G is q^(-m) everywhere.
+    """
+    m, hits = _reading(particles, points, True)
+    if (kind == "H" and hits != len(points)) or (kind == "D" and hits):
+        return Fraction(0)
+    return q ** (-m)
 
 
 def eval_functional(
@@ -367,11 +355,12 @@ def _chain_table(
 
     The chain's states are the starts and every state they reach; moves go
     one way and stop at ``boundary``, so there are finitely many.  Each
-    state's row is the :func:`~sixv.dynamics._scan` of its one-entry law,
-    checked like every law, and the rows are brought to one denominator D,
-    their lcm.  With F read at each state (:func:`_reading`) as numerators
-    over a^top (q = a/b), V_0 = F and V_t = P V_{t-1} are numerators over
-    D^t a^top, and V_t at a start is E_start[F(t)], for every column.
+    state's row is its one-step law
+    (:func:`~sixv.dynamics._step_distribution`), and the rows are brought
+    to one denominator D, their lcm.  With F read at each state
+    (:func:`_reading`) as numerators over a^top (q = a/b), V_0 = F and
+    V_t = P V_{t-1} are numerators over D^t a^top, and V_t at a start is
+    E_start[F(t)], for every column.
 
     All columns of a state advance together, packed into one int of W-bit
     slots, three per column (H, G, D), so a step is one multiply-add per
@@ -390,7 +379,7 @@ def _chain_table(
     states = list(starts)
     laws = []
     for state in states:  # the list grows as the rows reach new states
-        law = _scan(ScaledLaw(1, ((state, 1),)), params, boundary, step, mutation)
+        law = _step_distribution(state, params, boundary, step, mutation)
         for outcome, _ in law.entries:
             if outcome not in index:
                 index[outcome] = len(states)
@@ -572,8 +561,8 @@ def mc_expectation(
             current = sample(current)
         v = value.get(current)
         if v is None:
-            m = _exponent_at_points(kind, *_oriented(step, current, fixed))
-            v = value[current] = 0.0 if m is None else float(params.q ** -m)
+            particles, points = _oriented(step, current, fixed)
+            v = value[current] = float(_functional_at_points(kind, particles, points, params.q))
         total += v
         total_sq += v * v
     mean = total / n_samples

@@ -28,11 +28,12 @@ through one more empty site), tied together by the asymmetry ratio
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 # A strictly increasing tuple of occupied sites (forward process order).
 LocationConfig = tuple[int, ...]
@@ -259,23 +260,24 @@ def cycled_inhom_params(lo: int, hi: int, q: Fraction = Fraction(1, 2)) -> Param
 
 def validate_location(positions: Iterable[int]) -> LocationConfig:
     """Normalize to a strictly increasing tuple; reject disorder or repeats."""
-    pos = tuple(positions)
-    for p in pos:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"positions must be ints, got {p!r}")
-    if any(a >= b for a, b in zip(pos, pos[1:])):
-        raise ValueError(f"location configuration must be strictly increasing: {pos}")
-    return pos
+    return _validate_ordered(positions, operator.lt, "location configuration", "increasing")
 
 
 def validate_reversed(positions: Iterable[int]) -> ReversedConfig:
     """Normalize to a strictly decreasing tuple (reversed process order)."""
+    return _validate_ordered(positions, operator.gt, "reversed configuration", "decreasing")
+
+
+def _validate_ordered(
+    positions: Iterable[int], in_order: Callable[[int, int], bool], what: str, order: str
+) -> tuple[int, ...]:
+    """Int positions as a tuple, each neighbour pair ``in_order``; else a ValueError."""
     pos = tuple(positions)
     for p in pos:
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"positions must be ints, got {p!r}")
-    if any(a <= b for a, b in zip(pos, pos[1:])):
-        raise ValueError(f"reversed configuration must be strictly decreasing: {pos}")
+    if not all(map(in_order, pos, pos[1:])):
+        raise ValueError(f"{what} must be strictly {order}: {pos}")
     return pos
 
 

@@ -574,13 +574,13 @@ def test_mc_reads_each_final_configuration_once(monkeypatch, case):
     side, x, y, kind, t, params, seed = case
     finals = _oracle_mc(side, x, y, kind, t, params, 400, seed)[2]
     calls = []
-    real = sixv.duality._exponent_at_points
+    real = sixv.duality._functional_at_points
 
-    def counted(kind, particles, points):
+    def counted(kind, particles, points, q):
         calls.append(particles if side == "forward" else points)
-        return real(kind, particles, points)
+        return real(kind, particles, points, q)
 
-    monkeypatch.setattr(sixv.duality, "_exponent_at_points", counted)
+    monkeypatch.setattr(sixv.duality, "_functional_at_points", counted)
     mc_expectation(side, x, y, kind, t, params, 400, seed)
     assert sorted(calls) == sorted(finals)
 

@@ -4,15 +4,18 @@ import copy
 import json
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixv import duality, verify
+from sixv import duality, dynamics, verify
 from sixv.duality import (
+    KINDS,
     _evolve,
     _forward_entries,
     eval_functional,
@@ -24,6 +27,7 @@ from sixv.dynamics import (
     Mutation,
     _particle_moves,
     forward_step_distribution,
+    one_particle_kernel,
     reversed_step_distribution,
 )
 from sixv.model import STANDARD_PARAMS, Params, cycled_inhom_params, vertex_weight
@@ -651,6 +655,7 @@ def test_a_sweep_scans_each_step_of_a_law_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(duality, "_scan", counting_scan)
+    monkeypatch.setattr(dynamics, "_scan", counting_scan)
 
     def scans_of(t_range):
         for cache in (_evolve, _forward_entries, _particle_moves):
@@ -730,6 +735,70 @@ def test_d_stays_dual_under_site_dependent_b2_and_each_defect_breaks_it():
                 assert engine((x,), (y,), "D", 1, params) == d, (engine, x, y)
             h_forward = exact_expectation_forward((x,), (y,), "H", 1, params)
             assert h_forward - exact_expectation_reversed((x,), (y,), "H", 1, params) == h_excess
+
+
+def test_site_dependent_census_and_smallest_witness():
+    # the README's census of the palette cycled over 0:6 with q = 1/2, read
+    # off the report stream: H and G fail, D never does
+    spec = SweepSpec(
+        max_ell=3, max_k=2, window=(0, 6), t_range=(1, 2),
+        params_list=(cycled_inhom_params(0, 6),), kinds=KINDS,
+    )
+    reports, failures = Counter(), []
+    for report in iter_sweep(spec):
+        reports[report.kind] += 1
+        if report.verdict == "fail":
+            failures.append(report)
+    assert reports == dict.fromkeys(KINDS, 3570)
+    assert Counter(r.kind for r in failures) == {"H": 1580, "G": 2694}
+    # the smallest witness: fewest points, then fewest particles, then x and y
+    witness = min(failures, key=lambda r: (
+        len(r.x) + len(r.y), len(r.x), r.x, r.y, KINDS.index(r.kind), r.t,
+    ))
+    assert (witness.kind, witness.t, witness.x, witness.y) == ("H", 1, (0,), (1,))
+    assert (witness.lhs, witness.rhs) == (Fraction(7, 6), Fraction(5, 4))
+
+
+def transposed_column_sum(params: Params, y: int, depth: int = 12) -> Fraction:
+    """Exact sum over all x <= y of the one-particle forward law p(x -> y).
+
+    Below the override window the summands shrink by exactly the default
+    pass weight per site, so the infinite left tail is a geometric series.
+    """
+    floor = min(min((site for site, _ in params.b2_sites), default=y), y) - depth
+    total = sum((one_particle_kernel(x, y, params) for x in range(floor, y + 1)), Fraction(0))
+    return total + one_particle_kernel(floor, y, params) * params.b2 / (1 - params.b2)
+
+
+@pytest.mark.parametrize(
+    "params,sums",
+    [(params, [1] * 7) for params in STANDARD_PARAMS]
+    + [(cycled_inhom_params(0, 6), [
+        Fraction(1), Fraction(17, 18), Fraction(31, 36), Fraction(55, 48),
+        Fraction(211, 216), Fraction(751, 864), Fraction(1327, 1152),
+    ])],
+    ids=["std0", "std1", "std2", "palette"],
+)
+def test_transposed_columns_sum_to_one_only_without_site_dependence(params, sums):
+    # why H and G cannot be dual on the palette: the reversal would have to
+    # transpose the forward one-step law, and there its columns stop being
+    # stochastic
+    assert [transposed_column_sum(params, y) for y in range(0, 7)] == sums
+
+
+def test_the_standard_spec_file_is_the_standard_battery():
+    # specs/standard.json is `sixv sweep --spec`'s standard battery; the
+    # presets it spells out stay defined once, in STANDARD_PARAMS and KINDS
+    spec = SweepSpec(
+        max_ell=3, max_k=2, window=(0, 6), t_range=(1, 2),
+        params_list=STANDARD_PARAMS, kinds=KINDS,
+    )
+    path = Path(__file__).resolve().parent.parent / "specs" / "standard.json"
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert SweepSpec.from_json_obj(obj) == spec
+    assert spec.to_json_obj() == obj
+    pairs = sum(1 for _ in iter_config_pairs(spec))
+    assert pairs * len(spec.t_range) * len(spec.kinds) * len(spec.params_list) == 32130
 
 
 # --- input validation at the public entry points -------------------------------------
